@@ -1,8 +1,9 @@
 // Command bench runs the performance-critical benchmarks — the event-engine
 // micro-benchmarks (prebound vs closure vs the retired container/heap
 // baseline), the telemetry hot path (histogram record/merge/quantile and
-// the flight-recorder interval snapshot), the DRAM channel loop, and the
-// tsim end-to-end throughput, serial and domain-sharded — and emits one
+// the flight-recorder interval snapshot), the RMAT graph build every cold
+// graph run pays, the DRAM channel loop, and the tsim end-to-end
+// throughput, serial and domain-sharded — and emits one
 // machine-readable JSON artifact. BENCH_5.json in the repo root records the
 // PR 5 engine-rewrite numbers, BENCH_7.json the PR 7 telemetry numbers,
 // BENCH_8.json the PR 8 domain-scaling numbers and BENCH_10.json the
@@ -44,6 +45,7 @@ var suites = []struct {
 	{"./internal/sim", "^(BenchmarkEngineTickPrebound|BenchmarkEngineTickClosure|BenchmarkEngineMixedQueue|BenchmarkLegacyEngineTick|BenchmarkLegacyEngineMixedQueue|BenchmarkShardRoundTrip)$"},
 	{"./internal/metrics", "^(BenchmarkHistObserve|BenchmarkHistMerge|BenchmarkHistQuantile|BenchmarkFlightRecord)$"},
 	{"./internal/stats", "^BenchmarkFlightRecordSet$"},
+	{"./internal/workload", "^BenchmarkGraphBuild$"},
 	{".", "^(BenchmarkEventEngine|BenchmarkDRAMRandomReads|BenchmarkTimingSimThroughput|BenchmarkTimingSimSharded|BenchmarkTimingSimCoRun)$"},
 }
 

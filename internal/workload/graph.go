@@ -1,11 +1,14 @@
 package workload
 
+import "sync"
+
 // The graph substrate: an RMAT power-law graph in CSR form, with a
 // simulated memory layout (row-pointer array, adjacency array, and four
-// 8-byte-per-vertex property arrays) that the kernels below walk the way
-// graphBIG's kernels walk theirs — sequential row pointers, bursty
-// adjacency scans, and irregular property-array accesses keyed by neighbor
-// IDs, which is exactly the pattern that defeats counter caches (Sec. III).
+// property arrays of propStride-byte vertex records) that the kernels below
+// walk the way graphBIG's kernels walk theirs — sequential row pointers,
+// bursty adjacency scans, and irregular property-array accesses keyed by
+// neighbor IDs, which is exactly the pattern that defeats counter caches
+// (Sec. III).
 
 type graph struct {
 	v      int
@@ -18,35 +21,107 @@ type graph struct {
 	propBase   [4]uint64
 	footprint  int64
 
-	// propStride is the simulated per-vertex property size. 128 B models
-	// the fat vertex records of graph frameworks and sizes the gather
-	// footprint (and therefore the counter working set) realistically —
-	// simulated addresses cost no host memory.
-
-	bfsOrder []uint32 // computed on demand
-	dfsOrder []uint32
+	// Traversal orders, each computed once on first use; graphs are shared
+	// by concurrent runs (see graphCache).
+	bfsOnce, dfsOnce   sync.Once
+	bfsOrder, dfsOrder []uint32
 }
 
-// buildGraph generates a deterministic RMAT graph (a=0.57 b=0.19 c=0.19,
-// the Graph500 parameters) with vertices*avgDegree directed edges.
 // propStride is the simulated per-vertex property record size in bytes.
+// 256 B models the fat vertex records of graph frameworks and sizes the
+// gather footprint (and therefore the counter working set) realistically —
+// simulated addresses cost no host memory.
 const propStride = 256
 
 // graphCache shares built graphs (and their traversal orders) across
 // simulator instances; RMAT construction at default scale is expensive.
-// The simulators are single-threaded by design, so no locking.
-var graphCache = map[[3]uint64]*graph{}
+// run.Execute's workers call NewSet concurrently, so each key is built once
+// under its entry's lock while concurrent callers for that key wait, and
+// every caller gets the same *graph. Built graphs are read-only apart from
+// their once-computed traversal orders.
+var graphCache = struct {
+	mu      sync.Mutex
+	entries map[[3]uint64]*graphEntry
+}{entries: map[[3]uint64]*graphEntry{}}
+
+// graphEntry holds one cached graph. Its lock is held only while the graph
+// is built, so a build that panics leaves g nil and the next caller retries.
+type graphEntry struct {
+	mu sync.Mutex
+	g  *graph
+}
 
 func cachedGraph(vertices, avgDegree int, seed uint64) *graph {
 	key := [3]uint64{uint64(vertices), uint64(avgDegree), seed}
-	if g := graphCache[key]; g != nil {
-		return g
+	graphCache.mu.Lock()
+	e := graphCache.entries[key]
+	if e == nil {
+		e = &graphEntry{}
+		graphCache.entries[key] = e
 	}
-	g := buildGraph(vertices, avgDegree, seed)
-	graphCache[key] = g
-	return g
+	graphCache.mu.Unlock()
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.g == nil {
+		e.g = buildGraph(vertices, avgDegree, seed)
+	}
+	return e.g
 }
 
+// RMAT quadrant thresholds on a 16-bit slice of an rng draw (a=0.57,
+// b=0.19, c=0.19, d=0.05 of 65536, the Graph500 parameters). A level whose
+// slice p falls in quadrant a (p < rmatA), b (< rmatB), c (< rmatC) or d
+// sets neither, the destination, the source or both vertex-ID bits.
+const rmatA, rmatB, rmatC = 37355, 49807, 62259
+
+// rmatLanes has bit 0 of each 32-bit lane of a word set; rmatFlag has bit
+// 16 of each lane set.
+const (
+	rmatLanes = 1<<32 | 1
+	rmatFlag  = rmatLanes << 16
+)
+
+// Adding 1<<16-th to a 32-bit lane holding a 16-bit p sets the lane's bit
+// 16 exactly when p >= th, and cannot carry into the next lane.
+const (
+	rmatGeA = (1<<16 - rmatA) * rmatLanes
+	rmatGeB = (1<<16 - rmatB) * rmatLanes
+	rmatGeC = (1<<16 - rmatC) * rmatLanes
+)
+
+// rmatLevels decides the four RMAT levels one 64-bit draw carries, 16 bits
+// each from the low end, with no branch on the draw: bit k of src (dst) is
+// level k's source (destination) bit. The source bit is p >= rmatB; the
+// destination bit is set in quadrants b and d, where an odd number of the
+// three thresholds lie at or below p.
+func rmatLevels(bits uint64) (src, dst uint32) {
+	even := bits & (0xffff * rmatLanes)      // levels 0 and 2
+	odd := bits >> 16 & (0xffff * rmatLanes) // levels 1 and 3
+	// Level k's flag lands at bit 16+k (k < 2) or 46+k (k >= 2); the
+	// shifts fold them to bit k and the conversions drop the rest.
+	s := (even+rmatGeB)&rmatFlag | (odd+rmatGeB)&rmatFlag<<1
+	d := s ^ ((even+rmatGeA)^(even+rmatGeC))&rmatFlag ^ ((odd+rmatGeA)^(odd+rmatGeC))&rmatFlag<<1
+	return uint32(s>>16 | s>>46), uint32(d>>16 | d>>46)
+}
+
+// rmatEdge draws one edge's source and destination IDs over 2^levels
+// vertices, four levels per draw; the unused levels of the last draw are
+// discarded.
+func rmatEdge(r *rng, levels int) (src, dst uint32) {
+	for l := 0; l < levels; l += 4 {
+		s, d := rmatLevels(r.next())
+		// l < 32 always; the mask lets the compiler drop its
+		// oversized-shift handling.
+		src |= s << (l & 31)
+		dst |= d << (l & 31)
+	}
+	mask := uint32(1)<<levels - 1
+	return src & mask, dst & mask
+}
+
+// buildGraph generates a deterministic RMAT graph (a=0.57 b=0.19 c=0.19,
+// the Graph500 parameters) with vertices*avgDegree directed edges.
 func buildGraph(vertices, avgDegree int, seed uint64) *graph {
 	if vertices <= 0 || vertices&(vertices-1) != 0 {
 		panic("workload: graph vertices must be a positive power of two")
@@ -59,29 +134,8 @@ func buildGraph(vertices, avgDegree int, seed uint64) *graph {
 	e := vertices * avgDegree
 	srcs := make([]uint32, 0, e)
 	dsts := make([]uint32, 0, e)
-	// Quadrant thresholds on 16-bit slices of one rng draw (four levels
-	// per draw) keep construction fast at default scale.
-	const thA, thB, thC = 37355, 49807, 62259 // 0.57, +0.19, +0.19 of 65536
 	for i := 0; i < e; i++ {
-		var s, d uint32
-		var bits uint64
-		for l := 0; l < levels; l++ {
-			if l%4 == 0 {
-				bits = r.next()
-			}
-			p := uint32(bits & 0xffff)
-			bits >>= 16
-			switch {
-			case p < thA: // quadrant a
-			case p < thB: // b
-				d |= 1 << uint(l)
-			case p < thC: // c
-				s |= 1 << uint(l)
-			default: // d
-				s |= 1 << uint(l)
-				d |= 1 << uint(l)
-			}
-		}
+		s, d := rmatEdge(r, levels)
 		if s == d {
 			d = uint32((int(d) + 1) % vertices)
 		}
@@ -133,11 +187,14 @@ func (g *graph) addrProp(k int, v uint32) uint64 {
 	return g.propBase[k] + propStride*uint64(v)
 }
 
-// orderBFS computes (once) a BFS visit order with restarts.
+// orderBFS returns the BFS visit order with restarts, computing it on the
+// first call.
 func (g *graph) orderBFS() []uint32 {
-	if g.bfsOrder != nil {
-		return g.bfsOrder
-	}
+	g.bfsOnce.Do(g.computeBFS)
+	return g.bfsOrder
+}
+
+func (g *graph) computeBFS() {
 	order := make([]uint32, 0, g.v)
 	seen := make([]bool, g.v)
 	queue := make([]uint32, 0, g.v)
@@ -161,14 +218,16 @@ func (g *graph) orderBFS() []uint32 {
 		}
 	}
 	g.bfsOrder = order
-	return order
 }
 
-// orderDFS computes (once) a DFS visit order with restarts.
+// orderDFS returns the DFS visit order with restarts, computing it on the
+// first call.
 func (g *graph) orderDFS() []uint32 {
-	if g.dfsOrder != nil {
-		return g.dfsOrder
-	}
+	g.dfsOnce.Do(g.computeDFS)
+	return g.dfsOrder
+}
+
+func (g *graph) computeDFS() {
 	order := make([]uint32, 0, g.v)
 	seen := make([]bool, g.v)
 	stack := make([]uint32, 0, 1024)
@@ -192,7 +251,6 @@ func (g *graph) orderDFS() []uint32 {
 		}
 	}
 	g.dfsOrder = order
-	return order
 }
 
 // kernelFunc emits the accesses for one unit of work (typically one vertex)
@@ -243,17 +301,19 @@ const (
 	pSpatial  = 0.38
 )
 
-// ctrNeighborhood is the vertex span one counter block covers: a Morphable
-// block protects 8 KB = 64 vertices of 128 B records. Community-ordered
-// real graphs put most of a vertex's neighbors within such spans.
+// ctrNeighborhood is the vertex span a gather's spatial locality reaches:
+// 64 vertices of propStride-byte records span 16 KB, two Morphable counter
+// blocks of 8 KB each. Community-ordered real graphs put most of a vertex's
+// neighbors within such spans.
 const ctrNeighborhood = 64
 
 // gatherTarget applies spatio-temporal locality to a gather of vertex u:
-// with probability pLocal the gather lands near a recently touched vertex —
-// usually a *different* vertex (and so a different data block that can miss
-// in every cache) but inside the same counter block's coverage. That is the
-// kind of locality that produces counter-cache hits at the MC without
-// being filtered out by the data caches (Fig 6).
+// with probability pTemporal+pSpatial the gather lands on or near a recently
+// touched vertex — in the pSpatial case usually a *different* vertex (and so
+// a different data block that can miss in every cache) but inside the same
+// ctrNeighborhood span of counter blocks. That is the kind of locality that
+// produces counter-cache hits at the MC without being filtered out by the
+// data caches (Fig 6).
 func (s *graphGen) gatherTarget(u uint32) uint32 {
 	if s.recentLen > 0 {
 		p := s.r.float()

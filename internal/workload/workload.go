@@ -207,7 +207,8 @@ func SpaceBytes(name string, cores int, sc Scale) (int64, error) {
 	}
 	if _, ok := graphKernels[name]; ok {
 		// Mirror graph.layout() analytically: row pointers, adjacency,
-		// four 8 B property arrays, each 64 B aligned.
+		// four property arrays of propStride-byte records, each 64 B
+		// aligned.
 		align := func(x int64) int64 { return (x + 63) &^ 63 }
 		v := int64(sc.GraphVertices)
 		e := v * int64(sc.GraphAvgDegree)
