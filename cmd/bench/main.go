@@ -2,8 +2,9 @@
 // micro-benchmarks (prebound vs closure vs the retired container/heap
 // baseline), the telemetry hot path (histogram record/merge/quantile and
 // the flight-recorder interval snapshot), the RMAT graph build every cold
-// graph run pays, the DRAM channel loop, and the tsim end-to-end
-// throughput, serial and domain-sharded — and emits one
+// graph run pays, the DRAM channel loop, the cache tag store and the fsim
+// per-reference throughput, and the tsim end-to-end throughput, serial and
+// domain-sharded — and emits one
 // machine-readable JSON artifact. BENCH_5.json in the repo root records the
 // PR 5 engine-rewrite numbers, BENCH_7.json the PR 7 telemetry numbers,
 // BENCH_8.json the PR 8 domain-scaling numbers and BENCH_10.json the
@@ -46,7 +47,7 @@ var suites = []struct {
 	{"./internal/metrics", "^(BenchmarkHistObserve|BenchmarkHistMerge|BenchmarkHistQuantile|BenchmarkFlightRecord)$"},
 	{"./internal/stats", "^BenchmarkFlightRecordSet$"},
 	{"./internal/workload", "^BenchmarkGraphBuild$"},
-	{".", "^(BenchmarkEventEngine|BenchmarkDRAMRandomReads|BenchmarkTimingSimThroughput|BenchmarkTimingSimSharded|BenchmarkTimingSimCoRun)$"},
+	{".", "^(BenchmarkEventEngine|BenchmarkDRAMRandomReads|BenchmarkCacheLookupInsert|BenchmarkFunctionalSimThroughput|BenchmarkTimingSimThroughput|BenchmarkTimingSimSharded|BenchmarkTimingSimCoRun)$"},
 }
 
 type benchResult struct {

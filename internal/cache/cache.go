@@ -13,37 +13,52 @@ import (
 	"repro/internal/inv"
 )
 
-// line is one cache way.
-type line struct {
-	tag     uint64 // block index (full address >> 6); sets are by index bits
-	valid   bool
-	dirty   bool
-	kind    addr.Kind
-	lastUse uint64 // LRU stamp
-	// usedForLLCMiss supports the Fig 11 accounting: a counter block
+// Per-way flag bits. The low two bits hold the block's addr.Kind.
+const (
+	flagKind  uint8 = 0x3
+	flagDirty uint8 = 1 << 2
+	// flagUsed supports the Fig 11 accounting: a counter block
 	// speculatively fetched into L2 was "useless" if it is evicted
 	// without ever serving a data miss that also missed in LLC.
-	usedForLLCMiss bool
-}
+	flagUsed uint8 = 1 << 3
+)
+
+// numKinds sizes the kind ledger: every kind the flag byte can hold.
+const numKinds = int(flagKind) + 1
 
 // Victim describes an evicted block.
 type Victim struct {
 	Block uint64
 	Dirty bool
 	Kind  addr.Kind
-	// WasUsed is the usedForLLCMiss flag at eviction (Fig 11 stat).
+	// WasUsed reports whether the block served an LLC data miss while
+	// resident (flagUsed at eviction; Fig 11 stat).
 	WasUsed bool
 }
 
-// Cache is a set-associative tag store. Not safe for concurrent use: the
-// simulator is single-threaded by design.
+// Cache is a set-associative tag store laid out as parallel arrays, one
+// entry per way, set-major. A probe scans only the set's tags. A way is
+// valid iff its LRU stamp is non-zero: the global stamp advances before
+// every assignment, so a filled way's stamp is at least 1, and Invalidate
+// zeroes it. A matching tag is a hit only if its way is valid, so every
+// uint64 block, 0 and ^uint64(0) included, is representable. The stamp is
+// read when a tag matches or a victim is picked, the flag byte only when a
+// call needs a way's kind, dirty or used bit.
+//
+// Not safe for concurrent use. Runs execute concurrently under -j, but
+// each cache belongs to one run (and one domain of a sharded run) and is
+// driven from one goroutine.
 type Cache struct {
-	name    string
-	sets    uint64
-	ways    int
-	lines   []line // sets*ways, set-major
+	name string
+	sets uint64
+	ways int
+
+	tags    []uint64 // block index (full address >> 6) per way
+	lastUse []uint64 // LRU stamp per way; 0 marks an invalid way
+	flags   []uint8  // kind | flagDirty | flagUsed per way
+
 	stamp   uint64
-	kindCnt map[addr.Kind]int
+	kindCnt [numKinds]int
 
 	// ctrCapLines, when positive, caps how many lines may hold
 	// counter-kind blocks; inserting past the cap evicts the LRU
@@ -69,14 +84,7 @@ func New(name string, capacityBytes int64, ways int) *Cache {
 	if sets == 0 {
 		panic(fmt.Sprintf("cache %s: zero sets", name))
 	}
-	return &Cache{
-		name:    name,
-		sets:    sets,
-		ways:    ways,
-		lines:   make([]line, sets*uint64(ways)),
-		kindCnt: make(map[addr.Kind]int),
-		rec:     inv.Default(),
-	}
+	return newCache(name, sets, ways)
 }
 
 // NewSets builds a cache with an explicit set count (the sliced-LLC shards
@@ -85,12 +93,18 @@ func NewSets(name string, sets uint64, ways int) *Cache {
 	if sets == 0 || ways <= 0 {
 		panic(fmt.Sprintf("cache %s: invalid geometry %d sets/%d-way", name, sets, ways))
 	}
+	return newCache(name, sets, ways)
+}
+
+func newCache(name string, sets uint64, ways int) *Cache {
+	n := sets * uint64(ways)
 	return &Cache{
 		name:    name,
 		sets:    sets,
 		ways:    ways,
-		lines:   make([]line, sets*uint64(ways)),
-		kindCnt: make(map[addr.Kind]int),
+		tags:    make([]uint64, n),
+		lastUse: make([]uint64, n),
+		flags:   make([]uint8, n),
 		rec:     inv.Default(),
 	}
 }
@@ -133,60 +147,71 @@ func (c *Cache) Ways() int { return c.ways }
 func (c *Cache) Sets() uint64 { return c.sets }
 
 // KindCount reports how many lines currently hold blocks of kind k.
-func (c *Cache) KindCount(k addr.Kind) int { return c.kindCnt[k] }
+func (c *Cache) KindCount(k addr.Kind) int {
+	if k < 0 || int(k) >= numKinds {
+		return 0
+	}
+	return c.kindCnt[k]
+}
 
-func (c *Cache) set(block uint64) []line {
-	s := block % c.sets
-	return c.lines[s*uint64(c.ways) : (s+1)*uint64(c.ways)]
+// setOf maps a block to its set index.
+func (c *Cache) setOf(block uint64) uint64 { return block % c.sets }
+
+// find returns the way (an index into the per-way arrays) holding block in
+// the set whose first way is base, or -1 when the block is not resident.
+func (c *Cache) find(base, block uint64) int {
+	for i, t := range c.tags[base : base+uint64(c.ways)] {
+		if t == block && c.lastUse[base+uint64(i)] != 0 {
+			return int(base) + i
+		}
+	}
+	return -1
+}
+
+// lookup is find over block's own set.
+func (c *Cache) lookup(block uint64) int {
+	return c.find(c.setOf(block)*uint64(c.ways), block)
+}
+
+// victimAt reports the block held in way w as a Victim.
+func (c *Cache) victimAt(w int) Victim {
+	f := c.flags[w]
+	return Victim{Block: c.tags[w], Dirty: f&flagDirty != 0, Kind: addr.Kind(f & flagKind), WasUsed: f&flagUsed != 0}
 }
 
 // Lookup probes for a block, updating LRU on hit.
 func (c *Cache) Lookup(block uint64) bool {
-	set := c.set(block)
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			c.stamp++
-			set[i].lastUse = c.stamp
-			return true
-		}
+	w := c.lookup(block)
+	if w < 0 {
+		return false
 	}
-	return false
+	c.stamp++
+	c.lastUse[w] = c.stamp
+	return true
 }
 
 // Peek probes without updating LRU.
-func (c *Cache) Peek(block uint64) bool {
-	set := c.set(block)
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Peek(block uint64) bool { return c.lookup(block) >= 0 }
 
 // MarkDirty sets the dirty bit of a resident block; reports residency.
 func (c *Cache) MarkDirty(block uint64) bool {
-	set := c.set(block)
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			set[i].dirty = true
-			return true
-		}
+	w := c.lookup(block)
+	if w < 0 {
+		return false
 	}
-	return false
+	c.flags[w] |= flagDirty
+	return true
 }
 
 // MarkUsed flags a resident counter block as having served an LLC data
 // miss (Fig 11 accounting); reports residency.
 func (c *Cache) MarkUsed(block uint64) bool {
-	set := c.set(block)
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			set[i].usedForLLCMiss = true
-			return true
-		}
+	w := c.lookup(block)
+	if w < 0 {
+		return false
 	}
-	return false
+	c.flags[w] |= flagUsed
+	return true
 }
 
 // Insert places a block, evicting if needed, and returns the victim (ok
@@ -197,33 +222,41 @@ func (c *Cache) MarkUsed(block uint64) bool {
 // insertion replaces the LRU counter of its set; if the set holds no
 // counter, the insertion is dropped — the budget is a hard partition, so
 // counters can never displace more data than the cap allows (Sec. V).
+// An invalid way is still filled first, so while a cache has free ways
+// (the cold fill) counter occupancy can pass the cap; the inv-gated
+// checkSet reports each such insert.
 func (c *Cache) Insert(block uint64, dirty bool, kind addr.Kind) (Victim, bool) {
-	set := c.set(block)
+	base := c.setOf(block) * uint64(c.ways)
 	c.stamp++
 	// Already resident?
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			set[i].lastUse = c.stamp
-			set[i].dirty = set[i].dirty || dirty
-			return Victim{}, false
+	if w := c.find(base, block); w >= 0 {
+		c.lastUse[w] = c.stamp
+		if dirty {
+			c.flags[w] |= flagDirty
 		}
+		return Victim{}, false
 	}
-	victimIdx := c.pickVictim(set, kind)
-	if victimIdx < 0 {
+	w := c.pickVictim(base, kind)
+	if w < 0 {
 		return Victim{}, false // counter insert dropped at cap
 	}
-	v := set[victimIdx]
 	var out Victim
 	evicted := false
-	if v.valid {
-		out = Victim{Block: v.tag, Dirty: v.dirty, Kind: v.kind, WasUsed: v.usedForLLCMiss}
+	if c.lastUse[w] != 0 {
+		out = c.victimAt(w)
 		evicted = true
-		c.kindCnt[v.kind]--
+		c.kindCnt[out.Kind]--
 	}
-	set[victimIdx] = line{tag: block, valid: true, dirty: dirty, kind: kind, lastUse: c.stamp}
 	c.kindCnt[kind]++
+	f := uint8(kind)
+	if dirty {
+		f |= flagDirty
+	}
+	c.tags[w] = block
+	c.lastUse[w] = c.stamp
+	c.flags[w] = f
 	if c.rec.On() {
-		c.checkSet(set, block)
+		c.checkSet(base, block)
 	}
 	return out, evicted
 }
@@ -231,21 +264,21 @@ func (c *Cache) Insert(block uint64, dirty bool, kind addr.Kind) (Victim, bool) 
 // checkSet validates the per-set invariants after a mutation: a block is
 // resident in at most one way, LRU stamps never run ahead of the global
 // stamp, and counter occupancy respects the configured cap. O(ways), gated.
-func (c *Cache) checkSet(set []line, block uint64) {
+func (c *Cache) checkSet(base, block uint64) {
 	rec := c.rec
 	if !rec.On() {
 		return
 	}
 	seen := 0
-	for i := range set {
-		if !set[i].valid {
+	for w := base; w < base+uint64(c.ways); w++ {
+		if c.lastUse[w] == 0 {
 			continue
 		}
-		if set[i].tag == block {
+		if c.tags[w] == block {
 			seen++
 		}
-		if set[i].lastUse > c.stamp {
-			rec.Failf("cache", "%s: line lastUse %d ahead of global stamp %d", c.name, set[i].lastUse, c.stamp)
+		if c.lastUse[w] > c.stamp {
+			rec.Failf("cache", "%s: line lastUse %d ahead of global stamp %d", c.name, c.lastUse[w], c.stamp)
 		}
 	}
 	if seen > 1 {
@@ -261,21 +294,22 @@ func (c *Cache) checkSet(set []line, block uint64) {
 // O(capacity): the verification harness calls it after a run; it is not for
 // per-access use.
 func (c *Cache) CheckConsistency() error {
-	recount := make(map[addr.Kind]int)
+	var recount [numKinds]int
 	for s := uint64(0); s < c.sets; s++ {
-		set := c.lines[s*uint64(c.ways) : (s+1)*uint64(c.ways)]
+		base := s * uint64(c.ways)
 		tags := make(map[uint64]int)
-		for i := range set {
-			if !set[i].valid {
+		for w := base; w < base+uint64(c.ways); w++ {
+			if c.lastUse[w] == 0 {
 				continue
 			}
-			recount[set[i].kind]++
-			tags[set[i].tag]++
-			if set[i].tag%c.sets != s {
-				return fmt.Errorf("cache %s: block %#x stored in set %d, maps to set %d", c.name, set[i].tag, s, set[i].tag%c.sets)
+			tag := c.tags[w]
+			recount[c.flags[w]&flagKind]++
+			tags[tag]++
+			if c.setOf(tag) != s {
+				return fmt.Errorf("cache %s: block %#x stored in set %d, maps to set %d", c.name, tag, s, c.setOf(tag))
 			}
-			if set[i].lastUse > c.stamp {
-				return fmt.Errorf("cache %s: line lastUse %d ahead of global stamp %d", c.name, set[i].lastUse, c.stamp)
+			if c.lastUse[w] > c.stamp {
+				return fmt.Errorf("cache %s: line lastUse %d ahead of global stamp %d", c.name, c.lastUse[w], c.stamp)
 			}
 		}
 		for tag, n := range tags {
@@ -286,12 +320,7 @@ func (c *Cache) CheckConsistency() error {
 	}
 	for k, n := range recount {
 		if c.kindCnt[k] != n {
-			return fmt.Errorf("cache %s: kind %v ledger says %d lines, tag store holds %d", c.name, k, c.kindCnt[k], n)
-		}
-	}
-	for k, n := range c.kindCnt {
-		if n != recount[k] {
-			return fmt.Errorf("cache %s: kind %v ledger says %d lines, tag store holds %d", c.name, k, n, recount[k])
+			return fmt.Errorf("cache %s: kind %v ledger says %d lines, tag store holds %d", c.name, addr.Kind(k), c.kindCnt[k], n)
 		}
 	}
 	if c.ctrCapLines > 0 && c.kindCnt[addr.KindCounter] > c.ctrCapLines {
@@ -300,58 +329,65 @@ func (c *Cache) CheckConsistency() error {
 	return nil
 }
 
-// pickVictim chooses the way to replace: an invalid way first; otherwise,
-// if inserting a counter at the counter cap, the LRU *counter* way in this
-// set — or no way at all (-1, insert dropped) when the set has none;
-// otherwise global LRU.
-func (c *Cache) pickVictim(set []line, kind addr.Kind) int {
-	for i := range set {
-		if !set[i].valid {
-			return i
+// pickVictim chooses the way to replace in the set whose first way is
+// base: an invalid way first; otherwise, if inserting a counter at the
+// counter cap, the LRU *counter* way in this set — or no way at all (-1,
+// insert dropped) when the set has none; otherwise global LRU. LRU ties go
+// to the lowest way.
+func (c *Cache) pickVictim(base uint64, kind addr.Kind) int {
+	lru := c.lastUse[base : base+uint64(c.ways)]
+	// One pass finds both: invalid ways carry stamp 0 and valid ones at
+	// least 1, so the first minimum is the first invalid way if there is
+	// one, and the LRU way otherwise. Valid stamps are distinct, so the
+	// comparisons are unpredictable: keep the scan free of branches.
+	best, oldest := 0, lru[0]
+	for i := 1; i < len(lru); i++ {
+		v := lru[i]
+		older := v < oldest
+		if older {
+			oldest = v
 		}
-	}
-	if c.ctrCapLines > 0 && kind == addr.KindCounter && c.kindCnt[addr.KindCounter] >= c.ctrCapLines {
-		best := -1
-		for i := range set {
-			if set[i].kind == addr.KindCounter && (best < 0 || set[i].lastUse < set[best].lastUse) {
-				best = i
-			}
-		}
-		return best
-	}
-	best := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].lastUse < set[best].lastUse {
+		if older {
 			best = i
 		}
 	}
-	return best
+	if oldest != 0 && c.ctrCapLines > 0 && kind == addr.KindCounter && c.kindCnt[addr.KindCounter] >= c.ctrCapLines {
+		flags := c.flags[base : base+uint64(len(lru))]
+		best = -1
+		for i, f := range flags {
+			if addr.Kind(f&flagKind) == addr.KindCounter && (best < 0 || lru[i] < lru[best]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return -1
+		}
+	}
+	return int(base) + best
 }
 
 // Invalidate removes a block; reports whether it was resident and returns
 // its pre-invalidation state (for writeback-on-invalidate policies and the
 // Fig 23 accounting).
 func (c *Cache) Invalidate(block uint64) (Victim, bool) {
-	set := c.set(block)
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			v := Victim{Block: set[i].tag, Dirty: set[i].dirty, Kind: set[i].kind, WasUsed: set[i].usedForLLCMiss}
-			if rec := c.rec; rec.On() && c.kindCnt[set[i].kind] <= 0 {
-				rec.Failf("cache", "%s: invalidating %v block %#x with non-positive kind ledger %d", c.name, set[i].kind, block, c.kindCnt[set[i].kind])
-			}
-			c.kindCnt[set[i].kind]--
-			set[i] = line{}
-			return v, true
-		}
+	w := c.lookup(block)
+	if w < 0 {
+		return Victim{}, false
 	}
-	return Victim{}, false
+	v := c.victimAt(w)
+	if rec := c.rec; rec.On() && c.kindCnt[v.Kind] <= 0 {
+		rec.Failf("cache", "%s: invalidating %v block %#x with non-positive kind ledger %d", c.name, v.Kind, block, c.kindCnt[v.Kind])
+	}
+	c.kindCnt[v.Kind]--
+	c.tags[w], c.lastUse[w], c.flags[w] = 0, 0, 0
+	return v, true
 }
 
 // Occupancy reports the number of valid lines (for tests).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for _, t := range c.lastUse {
+		if t != 0 {
 			n++
 		}
 	}

@@ -44,11 +44,12 @@ func TestInsertExistingMergesDirty(t *testing.T) {
 		t.Fatal("re-insert produced a victim")
 	}
 	c.Insert(2, false, addr.KindData)
-	c.Insert(4, false, addr.KindData) // evicts LRU: 0
-	v, _ := c.Insert(6, false, addr.KindData)
-	_ = v
-	// The dirty bit must have survived the merge: whichever eviction
-	// removed block 0 must have reported dirty.
+	// Block 0 is now the LRU way of set 0. The clean re-insert refreshed
+	// it without clearing its dirty bit, so its eviction must report dirty.
+	v, ok := c.Insert(4, false, addr.KindData)
+	if !ok || v.Block != 0 || !v.Dirty {
+		t.Fatalf("victim = %+v ok=%v, want dirty block 0", v, ok)
+	}
 }
 
 func TestDirtyVictimReported(t *testing.T) {

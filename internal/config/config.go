@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/addr"
 	"repro/internal/noc"
 	"repro/internal/sim"
 )
@@ -306,13 +307,14 @@ func Default() Config {
 
 // Validate reports a descriptive error for inconsistent configurations.
 func (c *Config) Validate() error {
+	if err := c.validateCacheGeometry(); err != nil {
+		return err
+	}
 	switch {
 	case c.Cores <= 0:
 		return fmt.Errorf("config: Cores must be positive, got %d", c.Cores)
 	case c.BlockSize <= 0 || c.BlockSize&(c.BlockSize-1) != 0:
 		return fmt.Errorf("config: BlockSize must be a power of two, got %d", c.BlockSize)
-	case c.L1Bytes <= 0 || c.L2Bytes <= 0 || c.L3Bytes <= 0:
-		return fmt.Errorf("config: cache sizes must be positive")
 	case c.Channels <= 0 || c.Channels&(c.Channels-1) != 0:
 		return fmt.Errorf("config: Channels must be a positive power of two, got %d", c.Channels)
 	case c.EMCC && !c.CountersInLLC:
@@ -349,6 +351,32 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: tracing requires the serial engine — trace spans read cross-domain state mid-run; set Domains = 0 (got %d) or drop Tracing", c.Domains)
 	case c.Domains > 0 && c.FlightRecorder:
 		return fmt.Errorf("config: the flight recorder requires the serial engine — mid-run samples of domain-sharded DRAM metrics would be silently wrong; set Domains = 0 (got %d) or drop FlightRecorder", c.Domains)
+	}
+	return nil
+}
+
+// validateCacheGeometry rejects a cache the simulator could not build:
+// every cache is a whole number of sets of 64 B blocks, so its size must be
+// a positive multiple of 64 B times its ways (the LLC's size is the total
+// the slices split).
+func (c *Config) validateCacheGeometry() error {
+	for _, g := range []struct {
+		bytes, ways string
+		size        int64
+		n           int
+	}{
+		{"L1Bytes", "L1Ways", c.L1Bytes, c.L1Ways},
+		{"L2Bytes", "L2Ways", c.L2Bytes, c.L2Ways},
+		{"L3Bytes", "L3Ways", c.L3Bytes, c.L3Ways},
+		{"CtrCacheBytes", "CtrCacheWays", c.CtrCacheBytes, c.CtrCacheWays},
+	} {
+		if g.n <= 0 {
+			return fmt.Errorf("config: %s must be positive, got %d", g.ways, g.n)
+		}
+		if set := addr.BlockBytes * int64(g.n); g.size <= 0 || g.size%set != 0 {
+			return fmt.Errorf("config: %s must be a positive multiple of %d B (64 B blocks x %s %d), got %d",
+				g.bytes, set, g.ways, g.n, g.size)
+		}
 	}
 	return nil
 }

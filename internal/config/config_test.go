@@ -89,6 +89,19 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		// idealised predictor peeks across the cut).
 		func(c *Config) { c.ShardCores = true },
 		func(c *Config) { c.Domains = 2; c.XPT = true },
+		// Every cache must be a whole number of sets of 64 B blocks:
+		// positive ways, and a size that is a positive multiple of 64 B x
+		// ways (1 KB over 32 ways is 16 blocks, half a set).
+		func(c *Config) { c.CtrCacheBytes = 1 << 10 },
+		func(c *Config) { c.CtrCacheBytes = 0 },
+		func(c *Config) { c.CtrCacheWays = 0 },
+		func(c *Config) { c.L1Bytes = 64<<10 + 64 },
+		func(c *Config) { c.L1Ways = -1 },
+		func(c *Config) { c.L2Bytes = 256 },
+		func(c *Config) { c.L2Ways = 0 },
+		func(c *Config) { c.L3Bytes = 8<<20 + 512 },
+		func(c *Config) { c.L3Ways = -16 },
+		func(c *Config) { c.L3Ways = 0 },
 	}
 	for i, mut := range cases {
 		c := Default()

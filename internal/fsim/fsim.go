@@ -59,6 +59,18 @@ type Sim struct {
 	trc      *obs.Tracer // nil = tracing disabled
 	warming  bool
 	refsSeen int64 // measured references replayed (pseudo-time for flow events)
+
+	// Cached stats cells for the per-reference and per-miss counters (see
+	// bindHot); rarer events (overflow, invalidation, direct-cipher ops)
+	// count through st.Inc.
+	cDataRead, cDataWrite, cL2DataMiss     *int64
+	cLLCDataAccess, cLLCDataMiss           *int64
+	cDRAMDataRead, cDRAMDataWrite          *int64
+	cDRAMCtrRead, cDRAMCtrWrite            *int64
+	cCtrMCHit                              *int64
+	cCtrLLCLookup, cCtrLLCHit, cCtrLLCMiss *int64
+	cL2CtrHit, cL2CtrMiss, cSpecFetch      *int64
+	cCtrInserted, cUseless                 *int64
 }
 
 // New builds a functional simulation. cfg.Counter selects the secure-memory
@@ -130,7 +142,34 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 		s.home.SetRecorder(rec)
 	}
 	s.pol = emcc.Policy{L2CounterCap: cfg.EMCCL2CounterBytes}
+	s.bindHot()
 	return s, nil
+}
+
+// bindHot (re-)binds the stats cells the per-reference path bumps
+// directly, at construction and again after Run's warm-up Reset, which
+// strands every cell (tsim follows the same rule). Cells that stay at zero
+// are invisible to snapshots, so binding them eagerly changes no output.
+func (s *Sim) bindHot() {
+	st := s.st
+	s.cDataRead = st.CounterRef(stats.FsimDataRead)
+	s.cDataWrite = st.CounterRef(stats.FsimDataWrite)
+	s.cL2DataMiss = st.CounterRef(stats.FsimL2DataMiss)
+	s.cLLCDataAccess = st.CounterRef(stats.FsimLLCDataAccess)
+	s.cLLCDataMiss = st.CounterRef(stats.FsimLLCDataMiss)
+	s.cDRAMDataRead = st.CounterRef(stats.FsimDRAMDataRead)
+	s.cDRAMDataWrite = st.CounterRef(stats.FsimDRAMDataWrite)
+	s.cDRAMCtrRead = st.CounterRef(stats.FsimDRAMCtrRead)
+	s.cDRAMCtrWrite = st.CounterRef(stats.FsimDRAMCtrWrite)
+	s.cCtrMCHit = st.CounterRef(stats.FsimCtrMCHit)
+	s.cCtrLLCLookup = st.CounterRef(stats.FsimCtrLLCLookup)
+	s.cCtrLLCHit = st.CounterRef(stats.FsimCtrLLCHit)
+	s.cCtrLLCMiss = st.CounterRef(stats.FsimCtrLLCMiss)
+	s.cL2CtrHit = st.CounterRef(stats.EmccL2CtrHit)
+	s.cL2CtrMiss = st.CounterRef(stats.EmccL2CtrMiss)
+	s.cSpecFetch = st.CounterRef(stats.EmccSpecFetch)
+	s.cCtrInserted = st.CounterRef(stats.EmccCtrInserted)
+	s.cUseless = st.CounterRef(stats.EmccUseless)
 }
 
 // Stats exposes the collected metrics.
@@ -155,6 +194,7 @@ func (s *Sim) Run() {
 	s.replay(s.opt.Warmup)
 	s.warming = false
 	s.st.Reset()
+	s.bindHot()
 	s.replay(s.opt.Refs)
 }
 
@@ -174,9 +214,9 @@ func (s *Sim) access(core int, a workload.Access) {
 		s.refsSeen++
 	}
 	if a.Write {
-		s.st.Inc(stats.FsimDataWrite)
+		*s.cDataWrite++
 	} else {
-		s.st.Inc(stats.FsimDataRead)
+		*s.cDataRead++
 	}
 
 	// L1.
@@ -192,13 +232,13 @@ func (s *Sim) access(core int, a workload.Access) {
 		return
 	}
 	// L2 data miss: this is where EMCC engages (Sec. IV-C).
-	s.st.Inc(stats.FsimL2DataMiss)
+	*s.cL2DataMiss++
 	if s.cfg.EMCC {
 		s.emccCounterProbe(core, block)
 	}
 
 	// LLC.
-	s.st.Inc(stats.FsimLLCDataAccess)
+	*s.cLLCDataAccess++
 	if s.llcOf(block).Lookup(block) {
 		if s.trc != nil && !s.warming {
 			s.trc.Flow(core, block, a.Write, false, s.refsSeen)
@@ -208,14 +248,14 @@ func (s *Sim) access(core int, a workload.Access) {
 		s.fillL1(core, block, a.Write)
 		return
 	}
-	s.st.Inc(stats.FsimLLCDataMiss)
+	*s.cLLCDataMiss++
 	if s.trc != nil && !s.warming {
 		s.trc.Flow(core, block, a.Write, true, s.refsSeen)
 	}
 
 	// DRAM data read, with its counter access (counter-backed designs) or
 	// a direct-cipher decryption (counter-free designs).
-	s.st.Inc(stats.FsimDRAMDataRead)
+	*s.cDRAMDataRead++
 	if s.home != nil {
 		s.counterForDataRead(core, block)
 	} else {
@@ -246,7 +286,7 @@ func (s *Sim) fillL2(core int, block uint64, dirty bool) {
 		// An EMCC-cached counter block leaves L2; if it never served
 		// an LLC data miss its speculative fetch was useless (Fig 11).
 		if !v.WasUsed {
-			s.st.Inc(stats.EmccUseless)
+			*s.cUseless++
 		}
 		return // counters are clean in L2; LLC already has its copy path
 	}

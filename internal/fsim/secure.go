@@ -24,18 +24,18 @@ import (
 func (s *Sim) emccCounterProbe(core int, dataBlock uint64) {
 	cb := s.home.CounterBlockOf(dataBlock)
 	if s.l2[core].Lookup(cb) {
-		s.st.Inc(stats.EmccL2CtrHit)
+		*s.cL2CtrHit++
 		return
 	}
-	s.st.Inc(stats.EmccL2CtrMiss)
-	s.st.Inc(stats.EmccSpecFetch)
-	s.st.Inc(stats.FsimCtrLLCLookup)
+	*s.cL2CtrMiss++
+	*s.cSpecFetch++
+	*s.cCtrLLCLookup++
 	if s.llcOf(cb).Lookup(cb) {
-		s.st.Inc(stats.FsimCtrLLCHit)
+		*s.cCtrLLCHit++
 		s.insertCtrIntoL2(core, cb)
 		return
 	}
-	s.st.Inc(stats.FsimCtrLLCMiss)
+	*s.cCtrLLCMiss++
 	// Counter missed on-chip: MC resolves it (possibly from its own
 	// cache, else DRAM + tree verification) and supplies LLC and L2.
 	s.fetchMeta(cb, true)
@@ -46,14 +46,14 @@ func (s *Sim) emccCounterProbe(core int, dataBlock uint64) {
 // insertCtrIntoL2 caches a counter block in L2 under the 32 KB cap,
 // accounting Fig 11's useless-fetch tracking on eviction.
 func (s *Sim) insertCtrIntoL2(core int, cb uint64) {
-	s.st.Inc(stats.EmccCtrInserted)
+	*s.cCtrInserted++
 	v, ok := s.l2[core].Insert(cb, false, addr.KindCounter)
 	if !ok {
 		return
 	}
 	if v.Kind == addr.KindCounter {
 		if !v.WasUsed {
-			s.st.Inc(stats.EmccUseless)
+			*s.cUseless++
 		}
 		return
 	}
@@ -73,17 +73,17 @@ func (s *Sim) counterForDataRead(core int, dataBlock uint64) {
 		return
 	}
 	if s.home.LookupMeta(cb) {
-		s.st.Inc(stats.FsimCtrMCHit)
+		*s.cCtrMCHit++
 		return
 	}
 	if s.cfg.CountersInLLC {
-		s.st.Inc(stats.FsimCtrLLCLookup)
+		*s.cCtrLLCLookup++
 		if s.llcOf(cb).Lookup(cb) {
-			s.st.Inc(stats.FsimCtrLLCHit)
+			*s.cCtrLLCHit++
 			s.moveMetaToMC(cb)
 			return
 		}
-		s.st.Inc(stats.FsimCtrLLCMiss)
+		*s.cCtrLLCMiss++
 	}
 	// The probe (if any) just missed: go straight to DRAM + verification.
 	s.fetchMeta(cb, true)
@@ -103,13 +103,13 @@ func (s *Sim) fetchMeta(mb uint64, skipLLC bool) {
 		return
 	}
 	if s.cfg.CountersInLLC && !skipLLC {
-		s.st.Inc(stats.FsimCtrLLCLookup)
+		*s.cCtrLLCLookup++
 		if s.llcOf(mb).Lookup(mb) {
 			s.moveMetaToMC(mb)
 			return
 		}
 	}
-	s.st.Inc(stats.FsimDRAMCtrRead)
+	*s.cDRAMCtrRead++
 	if p, ok := s.home.Space.ParentOf(mb); ok {
 		s.fetchMeta(p, false)
 	}
@@ -142,7 +142,7 @@ func (s *Sim) spillMetaVictim(mb uint64, dirty bool) {
 // writebackMeta is a metadata block reaching DRAM: one counter write plus
 // the write-counter update of the block itself (its parent counter).
 func (s *Sim) writebackMeta(mb uint64) {
-	s.st.Inc(stats.FsimDRAMCtrWrite)
+	*s.cDRAMCtrWrite++
 	s.bumpCounter(mb)
 }
 
@@ -172,7 +172,7 @@ func (s *Sim) directEncrypt() {
 // block's counter update, and — under EMCC — invalidation of the counter
 // block's L2 copies (Sec. IV-C, Fig 23).
 func (s *Sim) writebackData(db uint64) {
-	s.st.Inc(stats.FsimDRAMDataWrite)
+	*s.cDRAMDataWrite++
 	if s.home == nil {
 		s.directEncrypt()
 		return
@@ -218,7 +218,7 @@ func (s *Sim) invalidateL2Counters(cb uint64) {
 		if v, ok := l2.Invalidate(cb); ok {
 			s.st.Inc(stats.EmccInvalidations)
 			if !v.WasUsed {
-				s.st.Inc(stats.EmccUseless)
+				*s.cUseless++
 			}
 		}
 	}
