@@ -2,8 +2,10 @@
 // micro-benchmarks (prebound vs closure vs the retired container/heap
 // baseline), the telemetry hot path (histogram record/merge/quantile and
 // the flight-recorder interval snapshot), the RMAT graph build every cold
-// graph run pays, the DRAM channel loop, the cache tag store and the fsim
-// per-reference throughput, and the tsim end-to-end throughput, serial and
+// graph run pays (on every CPU, and on one worker so the single-thread cost
+// stays on record; their ratio is the speedup at the artifact's cpus), the
+// DRAM channel loop, the cache tag store and the fsim per-reference
+// throughput, and the tsim end-to-end throughput, serial and
 // domain-sharded — and emits one
 // machine-readable JSON artifact. BENCH_5.json in the repo root records the
 // PR 5 engine-rewrite numbers, BENCH_7.json the PR 7 telemetry numbers,
@@ -46,7 +48,7 @@ var suites = []struct {
 	{"./internal/sim", "^(BenchmarkEngineTickPrebound|BenchmarkEngineTickClosure|BenchmarkEngineMixedQueue|BenchmarkLegacyEngineTick|BenchmarkLegacyEngineMixedQueue|BenchmarkShardRoundTrip)$"},
 	{"./internal/metrics", "^(BenchmarkHistObserve|BenchmarkHistMerge|BenchmarkHistQuantile|BenchmarkFlightRecord)$"},
 	{"./internal/stats", "^BenchmarkFlightRecordSet$"},
-	{"./internal/workload", "^BenchmarkGraphBuild$"},
+	{"./internal/workload", "^(BenchmarkGraphBuild|BenchmarkGraphBuildSerial)$"},
 	{".", "^(BenchmarkEventEngine|BenchmarkDRAMRandomReads|BenchmarkCacheLookupInsert|BenchmarkFunctionalSimThroughput|BenchmarkTimingSimThroughput|BenchmarkTimingSimSharded|BenchmarkTimingSimCoRun)$"},
 }
 

@@ -1,6 +1,8 @@
 package run
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -12,23 +14,29 @@ import (
 // cacheSchema versions the on-disk envelope; bumping it orphans (never
 // corrupts) old entries. Schema 2: snapshots may carry histogram cells
 // (stats.Snapshot.Hists), and traced scenarios key on the Trace flag.
-const cacheSchema = 2
+// Schema 3: the envelope carries its scenario key and the SHA-256 of the
+// outcome bytes.
+const cacheSchema = 3
 
 // Cache is a persistent scenario-outcome store: one JSON file per outcome
 // under <dir>/<code-identity>/<scenario-key>.json. The scenario key covers
 // everything that determines the outcome (resolved config, mode,
 // benchmark, seed, budgets, scale); the code-identity subdirectory pins
 // the source revision, so a rebuilt binary never reads results a different
-// simulator produced. Unreadable or mismatched entries are cache misses,
-// never errors.
+// simulator produced. Unreadable, mismatched or altered entries are cache
+// misses, never errors.
 type Cache struct {
 	dir string
 }
 
-// envelope is the on-disk record.
+// envelope is the on-disk record. Outcome holds the outcome's JSON bytes
+// exactly as marshalled, so Digest, their SHA-256 in hex, can be checked
+// against the bytes read back.
 type envelope struct {
-	Schema  int      `json:"schema"`
-	Outcome *Outcome `json:"outcome"`
+	Schema  int             `json:"schema"`
+	Key     string          `json:"key"`
+	Digest  string          `json:"sha256"`
+	Outcome json.RawMessage `json:"outcome"`
 }
 
 // OpenCache opens (creating as needed) the cache rooted at dir, scoped to
@@ -49,24 +57,40 @@ func (c *Cache) path(key string) string {
 }
 
 // Get loads the outcome stored under key, reporting ok=false on any miss:
-// absent, unreadable, or written by a different schema.
+// absent, unreadable, written by a different schema, stored for another
+// key, or with outcome bytes that do not match their digest (an edited or
+// damaged entry). Put overwrites such an entry.
 func (c *Cache) Get(key string) (*Outcome, bool) {
 	raw, err := os.ReadFile(c.path(key))
 	if err != nil {
 		return nil, false
 	}
 	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil || env.Schema != cacheSchema || env.Outcome == nil {
+	if err := json.Unmarshal(raw, &env); err != nil || env.Schema != cacheSchema || env.Key != key || env.Digest != digest(env.Outcome) {
 		return nil, false
 	}
-	return env.Outcome, true
+	var o Outcome
+	if err := json.Unmarshal(env.Outcome, &o); err != nil {
+		return nil, false
+	}
+	return &o, true
+}
+
+// digest is the hex SHA-256 of b.
+func digest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // Put stores the outcome under key. The write goes through a temporary
 // file and an atomic rename, so concurrent writers and readers (parallel
 // workers, a second report process) never observe a torn entry.
 func (c *Cache) Put(key string, o *Outcome) error {
-	b, err := json.MarshalIndent(envelope{Schema: cacheSchema, Outcome: o}, "", "  ")
+	ob, err := json.Marshal(o)
+	if err != nil {
+		return fmt.Errorf("run: cache put: %w", err)
+	}
+	b, err := json.Marshal(envelope{Schema: cacheSchema, Key: key, Digest: digest(ob), Outcome: ob})
 	if err != nil {
 		return fmt.Errorf("run: cache put: %w", err)
 	}

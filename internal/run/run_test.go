@@ -2,9 +2,11 @@ package run
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -200,6 +202,72 @@ func TestCacheRejectsCorruptAndForeignEntries(t *testing.T) {
 	}
 	if _, ok := cache.Get(key); !ok {
 		t.Fatal("valid entry missed")
+	}
+}
+
+// TestCacheRejectsAlteredEntries: an entry whose numbers were edited in
+// place (still valid JSON), or one copied under another scenario's key, is
+// a miss that the next Put repairs.
+func TestCacheRejectsAlteredEntries(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := miniature(Functional, "canneal", nil)
+	key := s.Key()
+	o, err := s.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Put(key, o); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(cache.Dir(), key+".json")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Bump the first digit of the first number in the outcome.
+	at := bytes.Index(good, []byte(`"outcome"`))
+	if at < 0 {
+		t.Fatalf("no outcome in %s", good)
+	}
+	loc := regexp.MustCompile(`":\s*[1-9]`).FindIndex(good[at:])
+	if loc == nil {
+		t.Fatalf("no number in the outcome of %s", good)
+	}
+	edited := bytes.Clone(good)
+	d := &edited[at+loc[1]-1]
+	if *d == '9' {
+		*d = '8'
+	} else {
+		*d++
+	}
+	if !json.Valid(edited) {
+		t.Fatal("edited entry is not valid JSON")
+	}
+	if err := os.WriteFile(path, edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cache.Get(key); ok {
+		t.Fatal("entry with an edited number served")
+	}
+	if err := cache.Put(key, o); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cache.Get(key); !ok {
+		t.Fatal("repaired entry missed")
+	}
+
+	// The same entry under another scenario's key is not that scenario's.
+	other := miniature(Functional, "canneal", nil)
+	other.Seed++
+	if err := os.WriteFile(filepath.Join(cache.Dir(), other.Key()+".json"), good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cache.Get(other.Key()); ok {
+		t.Fatal("entry copied from another key served")
 	}
 }
 

@@ -1,6 +1,11 @@
 package workload
 
-import "sync"
+import (
+	"math/bits"
+	"runtime"
+	"sort"
+	"sync"
+)
 
 // The graph substrate: an RMAT power-law graph in CSR form, with a
 // simulated memory layout (row-pointer array, adjacency array, and four
@@ -36,16 +41,18 @@ const propStride = 256
 // graphCache shares built graphs (and their traversal orders) across
 // simulator instances; RMAT construction at default scale is expensive.
 // run.Execute's workers call NewSet concurrently, so each key is built once
-// under its entry's lock while concurrent callers for that key wait, and
-// every caller gets the same *graph. Built graphs are read-only apart from
-// their once-computed traversal orders.
+// under its entry's lock: the first caller builds it on up to GOMAXPROCS
+// goroutines while concurrent callers for that key wait, and every caller
+// gets the same *graph. Built graphs are read-only apart from their
+// once-computed traversal orders.
 var graphCache = struct {
 	mu      sync.Mutex
 	entries map[[3]uint64]*graphEntry
 }{entries: map[[3]uint64]*graphEntry{}}
 
 // graphEntry holds one cached graph. Its lock is held only while the graph
-// is built, so a build that panics leaves g nil and the next caller retries.
+// is built, so a build that panics on the calling goroutine leaves g nil
+// and the next caller retries.
 type graphEntry struct {
 	mu sync.Mutex
 	g  *graph
@@ -121,45 +128,126 @@ func rmatEdge(r *rng, levels int) (src, dst uint32) {
 }
 
 // buildGraph generates a deterministic RMAT graph (a=0.57 b=0.19 c=0.19,
-// the Graph500 parameters) with vertices*avgDegree directed edges.
+// the Graph500 parameters) with vertices*avgDegree directed edges, on up to
+// GOMAXPROCS goroutines.
 func buildGraph(vertices, avgDegree int, seed uint64) *graph {
+	workers := max(1, min(runtime.GOMAXPROCS(0), vertices*avgDegree/minEdgesPerWorker))
+	return buildGraphWorkers(vertices, avgDegree, seed, workers)
+}
+
+// minEdgesPerWorker is the fewest edges worth a goroutine of their own:
+// smaller graphs, TestScale's 32 k edges among them, build on the calling
+// goroutine.
+const minEdgesPerWorker = 1 << 16
+
+// maxPlaceWorkers caps the placement pass, each of whose workers reads the
+// whole source list. Builds have been timed on at most 2 CPUs; the value 8
+// is not measured.
+const maxPlaceWorkers = 8
+
+// buildGraphWorkers is buildGraph on the given number of workers. The graph
+// is the same at every worker count:
+//
+//   - Edges are generated by edge range. Edge i takes draws i*d to i*d+d-1
+//     of the seed's stream, d = ceil(levels/4), so each worker jumps its rng
+//     to its first edge and writes its edges in place.
+//   - The counting sort into CSR counts serially and places by source
+//     range. Each range holds an even share of the edges, read off the row
+//     pointers. Each worker walks every edge in index order and places only
+//     those whose source it owns, so every adjacency list keeps the serial
+//     order.
+func buildGraphWorkers(vertices, avgDegree int, seed uint64, workers int) *graph {
 	if vertices <= 0 || vertices&(vertices-1) != 0 {
 		panic("workload: graph vertices must be a positive power of two")
 	}
-	r := newRNG(seed)
-	levels := 0
-	for 1<<levels < vertices {
-		levels++
-	}
+	levels := bits.Len(uint(vertices - 1))
+	draws := uint64(levels+3) / 4
 	e := vertices * avgDegree
-	srcs := make([]uint32, 0, e)
-	dsts := make([]uint32, 0, e)
-	for i := 0; i < e; i++ {
-		s, d := rmatEdge(r, levels)
-		if s == d {
-			d = uint32((int(d) + 1) % vertices)
+	srcs := make([]uint32, e)
+	dsts := make([]uint32, e)
+	parallel(workers, func(w int) {
+		lo, hi := e*w/workers, e*(w+1)/workers
+		r := newRNG(seed)
+		r.skip(uint64(lo) * draws)
+		for i := lo; i < hi; i++ {
+			s, d := rmatEdge(r, levels)
+			if s == d {
+				d = uint32((int(d) + 1) % vertices)
+			}
+			srcs[i], dsts[i] = s, d
 		}
-		srcs = append(srcs, s)
-		dsts = append(dsts, d)
-	}
-	// Counting sort into CSR.
-	g := &graph{v: vertices}
-	g.rowPtr = make([]uint32, vertices+1)
+	})
+
+	// rowPtr[s+2] first counts source s's edges. After the prefix sum
+	// rowPtr[s+1] is s's first adjacency slot, and placing s's edges
+	// advances it to s's end, which is where s+1 starts.
+	rowPtr := make([]uint32, vertices+2)
 	for _, s := range srcs {
-		g.rowPtr[s+1]++
+		rowPtr[s+2]++
 	}
-	for i := 1; i <= vertices; i++ {
-		g.rowPtr[i] += g.rowPtr[i-1]
+	for i := 2; i < len(rowPtr); i++ {
+		rowPtr[i] += rowPtr[i-1]
 	}
-	g.adj = make([]uint32, e)
-	cursor := make([]uint32, vertices)
-	copy(cursor, g.rowPtr[:vertices])
-	for i, s := range srcs {
-		g.adj[cursor[s]] = dsts[i]
-		cursor[s]++
+	// Worker w owns sources bounds[w] to bounds[w+1]-1: from the first
+	// source whose edges start at or after w/n of them.
+	n := min(workers, maxPlaceWorkers)
+	bounds := make([]uint32, n+1)
+	bounds[n] = uint32(vertices)
+	for w := 1; w < n; w++ {
+		bounds[w] = uint32(sort.Search(vertices, func(s int) bool { return int(rowPtr[s+1]) >= e*w/n }))
 	}
+	adj := make([]uint32, e)
+	parallel(n, func(w int) { placeEdges(adj, rowPtr, srcs, dsts, bounds[w], bounds[w+1]) })
+	g := &graph{v: vertices, rowPtr: rowPtr[:vertices+1], adj: adj}
 	g.layout()
 	return g
+}
+
+// parallel runs fn(0) to fn(n-1), fn(0) on the calling goroutine and the
+// rest on goroutines of their own, and returns when all have.
+func parallel(n int, fn func(w int)) {
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for w := 1; w < n; w++ {
+		go func() {
+			defer wg.Done()
+			fn(w)
+		}()
+	}
+	fn(0)
+	wg.Wait()
+}
+
+// placeEdges writes, in edge order, the destination of each edge whose
+// source s lies in [lo, hi) to adj[rowPtr[s+1]] and advances rowPtr[s+1].
+func placeEdges(adj, rowPtr, srcs, dsts []uint32, lo, hi uint32) {
+	var own [ownBlock]uint32
+	for base := 0; base < len(srcs); base += ownBlock {
+		for _, i := range own[:ownEdges(&own, srcs, base, lo, hi)] {
+			s := srcs[i]
+			adj[rowPtr[s+1]] = dsts[i]
+			rowPtr[s+1]++
+		}
+	}
+}
+
+// ownBlock is how many edges ownEdges filters at a time.
+const ownBlock = 512
+
+// ownEdges writes to own, in order, the indices of the edges among
+// srcs[base:base+ownBlock] whose source lies in [lo, hi), and returns how
+// many there are. A worker owns only some of a block's sources, so the
+// filter counts without branching.
+func ownEdges(own *[ownBlock]uint32, srcs []uint32, base int, lo, hi uint32) int {
+	n := 0
+	for i, s := range srcs[base:min(base+ownBlock, len(srcs))] {
+		// n <= i < ownBlock: the mask only spares a bounds check.
+		own[n&(ownBlock-1)] = uint32(base + i)
+		if s-lo < hi-lo {
+			n++
+		}
+	}
+	return n
 }
 
 // layout assigns byte offsets to each array region, 64 B aligned.

@@ -104,16 +104,37 @@ func TestRMATMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzRMATMatchesReference: for any seed, 1 to 2^14 vertices and degree 1
-// to 16, the generator matches the reference.
+// TestBuildGraphWorkerInvariance pins the graph to the serial reference at
+// every worker count: more workers than edges, edge and vertex counts the
+// worker count does not divide, 1 to 2^14 vertices, degrees 1 to 16, and
+// seeds including 0 and ^0.
+func TestBuildGraphWorkerInvariance(t *testing.T) {
+	shapes := []struct{ levels, degree int }{
+		{0, 1}, {0, 16}, {1, 1}, {1, 3}, {2, 5}, {5, 7}, {8, 16}, {11, 3}, {13, 1}, {14, 16},
+	}
+	for _, sh := range shapes {
+		v := 1 << sh.levels
+		for _, seed := range []uint64{0, 1, 0x9e3779b97f4a7c15, ^uint64(0)} {
+			want := buildGraphReference(v, sh.degree, seed)
+			for _, workers := range []int{1, 2, 3, 5, 8} {
+				if diff := sameGraph(buildGraphWorkers(v, sh.degree, seed, workers), want); diff != "" {
+					t.Errorf("2^%d vertices, degree %d, seed %#x, %d workers: %s", sh.levels, sh.degree, seed, workers, diff)
+				}
+			}
+		}
+	}
+}
+
+// FuzzRMATMatchesReference: for any seed, 1 to 2^14 vertices, degree 1 to
+// 16 and 1 to 16 workers, the generator matches the reference.
 func FuzzRMATMatchesReference(f *testing.F) {
-	f.Add(uint64(1), uint8(12), uint8(8))
-	f.Add(uint64(0), uint8(0), uint8(1))
-	f.Add(uint64(0xffffffffffffffff), uint8(14), uint8(16))
-	f.Fuzz(func(t *testing.T, seed uint64, logV, degree uint8) {
-		v, deg := 1<<(logV%15), int(degree%16)+1
-		if diff := sameGraph(buildGraph(v, deg, seed), buildGraphReference(v, deg, seed)); diff != "" {
-			t.Fatalf("%d vertices, degree %d, seed %#x: %s", v, deg, seed, diff)
+	f.Add(uint64(1), uint8(12), uint8(8), uint8(0))
+	f.Add(uint64(0), uint8(0), uint8(1), uint8(7))
+	f.Add(uint64(0xffffffffffffffff), uint8(14), uint8(16), uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, logV, degree, workers uint8) {
+		v, deg, w := 1<<(logV%15), int(degree%16)+1, int(workers%16)+1
+		if diff := sameGraph(buildGraphWorkers(v, deg, seed, w), buildGraphReference(v, deg, seed)); diff != "" {
+			t.Fatalf("%d vertices, degree %d, seed %#x, %d workers: %s", v, deg, seed, w, diff)
 		}
 	})
 }
@@ -164,10 +185,19 @@ func TestGraphCacheConcurrent(t *testing.T) {
 var graphSink *graph
 
 // BenchmarkGraphBuild times one uncached RMAT build at graph-cold's size
-// (2^18 vertices, average degree 8).
+// (2^18 vertices, average degree 8) on the workers buildGraph picks.
 func BenchmarkGraphBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		graphSink = buildGraph(1<<18, 8, 1)
+	}
+}
+
+// BenchmarkGraphBuildSerial times the same build on one worker, so the
+// single-thread cost stays on record whatever the host's CPU count.
+func BenchmarkGraphBuildSerial(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		graphSink = buildGraphWorkers(1<<18, 8, 1, 1)
 	}
 }

@@ -225,15 +225,22 @@ func SpaceBytes(name string, cores int, sc Scale) (int64, error) {
 // traces never drift between releases.
 type rng struct{ state uint64 }
 
-func newRNG(seed uint64) *rng { return &rng{state: seed ^ 0x9e3779b97f4a7c15} }
+// splitmixGamma is splitmix64's state increment per draw.
+const splitmixGamma = 0x9e3779b97f4a7c15
+
+func newRNG(seed uint64) *rng { return &rng{state: seed ^ splitmixGamma} }
 
 func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += splitmixGamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// skip advances the stream past n draws at once: each draw adds
+// splitmixGamma to the state.
+func (r *rng) skip(n uint64) { r.state += n * splitmixGamma }
 
 // intn returns a uniform value in [0, n).
 func (r *rng) intn(n int) int {
