@@ -5,8 +5,9 @@
 // graph run pays (on every CPU, and on one worker so the single-thread cost
 // stays on record; their ratio is the speedup at the artifact's cpus), the
 // DRAM channel loop, the cache tag store and the fsim per-reference
-// throughput, and the tsim end-to-end throughput, serial and
-// domain-sharded — and emits one
+// throughput, the tsim end-to-end throughput, serial and
+// domain-sharded, and one full verification-harness run (check.Run at
+// 2 k references on one goroutine) — and emits one
 // machine-readable JSON artifact. BENCH_5.json in the repo root records the
 // PR 5 engine-rewrite numbers, BENCH_7.json the PR 7 telemetry numbers,
 // BENCH_8.json the PR 8 domain-scaling numbers and BENCH_10.json the
@@ -49,6 +50,7 @@ var suites = []struct {
 	{"./internal/metrics", "^(BenchmarkHistObserve|BenchmarkHistMerge|BenchmarkHistQuantile|BenchmarkFlightRecord)$"},
 	{"./internal/stats", "^BenchmarkFlightRecordSet$"},
 	{"./internal/workload", "^(BenchmarkGraphBuild|BenchmarkGraphBuildSerial)$"},
+	{"./internal/check", "^BenchmarkCheckRun$"},
 	{".", "^(BenchmarkEventEngine|BenchmarkDRAMRandomReads|BenchmarkCacheLookupInsert|BenchmarkFunctionalSimThroughput|BenchmarkTimingSimThroughput|BenchmarkTimingSimSharded|BenchmarkTimingSimCoRun)$"},
 }
 

@@ -3,10 +3,12 @@
 // invariant-instrumented simulation runs and serial-vs-sharded engine parity
 // runs. It prints one line per check and exits non-zero if any fail.
 //
-// Every unit — all four pillars — owns its simulators, stats and invariant
-// recorders outright, so the units fan out across -parallel goroutines
-// (default: GOMAXPROCS). Parallelism changes only the wall-clock time, never
-// the report.
+// The units of all four pillars fan out across -parallel goroutines
+// (default: GOMAXPROCS). They share one recorded trace and a memo that
+// simulates each distinct serial replay of it once for every unit that
+// needs it; invariant-recorded, traced and sharded runs stay private to
+// their unit. Parallelism changes only the wall-clock time, never the
+// report.
 //
 // Usage:
 //

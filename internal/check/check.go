@@ -19,6 +19,13 @@
 //     grid and require byte-identical stats snapshots at any domain and
 //     worker count.
 //
+// Run records one trace and runs every pillar's checks over it as
+// independent units. The units share a per-Run memo (simMemo) that
+// simulates each distinct serial tsim replay of the trace once and hands
+// the result to every unit that asks for that config, so a config several
+// pillars need costs one run. Runs that carry a recorder, tracer or their
+// own input are never shared; each unit builds and owns those outright.
+//
 // cmd/check runs everything and prints a report; `go test ./internal/check`
 // runs the same pillars plus deliberately-broken inputs proving each pillar
 // can fail.
@@ -73,10 +80,11 @@ type Options struct {
 	Cores int
 	// Quick halves the reference budget (cmd/check -quick).
 	Quick bool
-	// Parallel is the number of independent check units Run executes
-	// concurrently (0 or 1 = serial). Every unit owns its simulators and
-	// stats.Sets outright, so parallelism never changes any result — only
-	// the wall-clock time (closes the ROADMAP fan-out item).
+	// Parallel is the number of check units Run executes concurrently
+	// (0 or 1 = serial). Units share only the recorded trace and Run's
+	// memo of serial replays, which computes each entry once and then
+	// only hands it out to be read, so parallelism never changes any
+	// result — only the wall-clock time.
 	Parallel int
 }
 
@@ -100,23 +108,32 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Run executes every pillar and returns all results. Every unit —
-// differential, metamorphic and invariant alike — is independent: each
-// builds its own simulators, stats.Sets and inv.Recorders over a shared
-// read-only trace, so all of them fan out across opt.Parallel goroutines.
-// (The invariant pillar used to be pinned serial when internal/inv's
-// recorder was process-global; per-run recorders removed that restriction.)
-// Results land in fixed slots, so the report order — and with deterministic
-// simulators, every byte of it — is identical at any parallelism.
+// Run executes every pillar and returns all results. The units —
+// differential, metamorphic, invariant and shard-parity alike — fan out
+// across opt.Parallel goroutines over one read-only recorded trace. They
+// share one thing besides it: a per-Run simMemo that simulates each
+// distinct serial replay of that trace once and hands the same read-only
+// result to every unit that asks for it. Everything else a unit runs —
+// invariant-recorded, traced and sharded runs among them — it builds and
+// owns outright. Results land in fixed slots, so the report order — and
+// with deterministic simulators, every byte of it — is identical at any
+// parallelism.
 func Run(opt Options) []Result {
+	rs, _ := run(opt)
+	return rs
+}
+
+// run is Run, also returning the memo its units shared so tests can count
+// the simulations it ran.
+func run(opt Options) ([]Result, *simMemo) {
 	opt = opt.withDefaults()
-	tr, err := recordTrace(opt)
-	if err != nil {
-		return []Result{failf(PillarDifferential, "record-trace", "%v", err)}
+	m := recordMemo(opt)
+	if m.err != nil {
+		return []Result{failf(PillarDifferential, "record-trace", "%v", m.err)}, nil
 	}
-	units := append(diffUnits(tr, opt), metamorphicUnits(opt)...)
-	units = append(units, invariantUnits(tr, opt)...)
-	units = append(units, shardParityUnits(tr, opt)...)
+	units := append(diffUnits(m), metamorphicUnits(m)...)
+	units = append(units, invariantUnits(m.tr, opt)...)
+	units = append(units, shardParityUnits(m)...)
 	slots := make([][]Result, len(units))
 	workers := opt.Parallel
 	if workers < 1 {
@@ -139,7 +156,7 @@ func Run(opt Options) []Result {
 	for _, rs := range slots {
 		out = append(out, rs...)
 	}
-	return out
+	return out, m
 }
 
 // Failed counts failing results.

@@ -71,7 +71,7 @@ func TestMonotonicityDetectsRegression(t *testing.T) {
 // fail: the cipher latency is the one knob CtrBipBip genuinely depends on,
 // so perturbing it must break byte-identity.
 func TestBipBipInvarianceDetectsLiveKnob(t *testing.T) {
-	r := bipbipInvarianceOver(quickOpt, []knobPerturbation{
+	r := bipbipKnobInvariance(recordMemo(quickOpt.withDefaults()), []knobPerturbation{
 		{"bipbip-latency-2x", func(c *config.Config) { c.BipBipLatency *= 2 }},
 	})
 	if r.Pass {

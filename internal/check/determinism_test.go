@@ -36,7 +36,7 @@ func TestFsimDeterminism(t *testing.T) {
 			}
 			var runs [2][]byte
 			for i := range runs {
-				st, err := runFsim(&cfg, tr, opt, nil)
+				st, err := runFsim(&cfg, tr, opt.Refs, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,7 +63,7 @@ func TestTsimDeterminism(t *testing.T) {
 			}
 			var runs [2][]byte
 			for i := range runs {
-				st, err := runTsim(&cfg, tr, opt, nil)
+				st, err := runTsim(&cfg, tr, opt.Refs, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

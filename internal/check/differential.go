@@ -6,12 +6,10 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/crypto"
-	"repro/internal/fsim"
 	"repro/internal/mc"
 	"repro/internal/secmem"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/tsim"
 )
 
 // systems under differential test, keyed the way Fig 16's legend names them.
@@ -125,23 +123,22 @@ func rulesFor(system string) []diffRule {
 // Differential runs the fsim-vs-tsim trace replay for every system plus the
 // secmem-vs-timing-layer agreement checks.
 func Differential(opt Options) []Result {
-	opt = opt.withDefaults()
-	tr, err := recordTrace(opt)
-	if err != nil {
-		return []Result{failf(PillarDifferential, "record-trace", "%v", err)}
+	m := recordMemo(opt.withDefaults())
+	if m.err != nil {
+		return []Result{failf(PillarDifferential, "record-trace", "%v", m.err)}
 	}
 	var out []Result
-	for _, unit := range diffUnits(tr, opt) {
+	for _, unit := range diffUnits(m) {
 		out = append(out, unit()...)
 	}
 	return out
 }
 
-// diffUnits splits the differential pillar into independent tasks over one
-// shared recorded trace (tr is only read — Generators copies no state out
-// of it), so Run can fan them across goroutines. Each unit builds its own
-// simulators and stats.Sets; nothing is shared but tr.
-func diffUnits(tr *trace.Trace, opt Options) []func() []Result {
+// diffUnits splits the differential pillar into independent tasks over the
+// memo's shared trace, so Run can fan them across goroutines. The tsim
+// replays come from the memo; each unit builds its own fsim, secmem and
+// traced runs.
+func diffUnits(m *simMemo) []func() []Result {
 	var units []func() []Result
 	for _, system := range diffSystems {
 		system := system
@@ -150,16 +147,16 @@ func diffUnits(tr *trace.Trace, opt Options) []func() []Result {
 			if err != nil {
 				return []Result{failf(PillarDifferential, system, "%v", err)}
 			}
-			return CompareTraceRun(system, &cfg, &cfg, tr, opt)
+			return compareTraceRun(system, &cfg, &cfg, m)
 		})
 	}
 	for _, design := range []config.CounterDesign{config.CtrMono, config.CtrSC64, config.CtrMorphable} {
 		design := design
-		units = append(units, func() []Result { return secmemAgreementFor(design, opt) })
+		units = append(units, func() []Result { return secmemAgreementFor(design, m.opt) })
 	}
 	for _, system := range []string{"bipbip", "insram"} {
 		system := system
-		units = append(units, func() []Result { return counterFreeAcceptance(system, opt) })
+		units = append(units, func() []Result { return counterFreeAcceptance(system, m.opt) })
 	}
 	return units
 }
@@ -169,35 +166,23 @@ func diffUnits(tr *trace.Trace, opt Options) []func() []Result {
 // normally identical; tests pass different ones to prove divergence is
 // detected.
 func CompareTraceRun(system string, cfgF, cfgT *config.Config, tr *trace.Trace, opt Options) []Result {
-	opt = opt.withDefaults()
-	prefix := func(rule string) string { return system + "/" + rule }
+	return compareTraceRun(system, cfgF, cfgT, newSimMemo(tr, opt))
+}
 
-	gensF, err := tr.Generators()
-	if err != nil {
-		return []Result{failf(PillarDifferential, prefix("generators"), "%v", err)}
-	}
-	gensT, err := tr.Generators()
-	if err != nil {
-		return []Result{failf(PillarDifferential, prefix("generators"), "%v", err)}
-	}
-	fs, err := fsim.New(cfgF, fsim.Options{
-		Cores: tr.Cores, Refs: opt.Refs, Generators: gensF, DataBytes: tr.Footprint,
-	})
+// compareTraceRun is CompareTraceRun with the tsim replay served by m.
+func compareTraceRun(system string, cfgF, cfgT *config.Config, m *simMemo) []Result {
+	prefix := func(rule string) string { return system + "/" + rule }
+	fst, err := runFsim(cfgF, m.tr, m.refs, nil)
 	if err != nil {
 		return []Result{failf(PillarDifferential, prefix("fsim"), "%v", err)}
 	}
-	fs.Run()
-	ts, err := tsim.New(cfgT, tsim.Options{
-		Cores: tr.Cores, Refs: opt.Refs, Generators: gensT, DataBytes: tr.Footprint,
-	})
+	ts, err := m.replay(*cfgT)
 	if err != nil {
 		return []Result{failf(PillarDifferential, prefix("tsim"), "%v", err)}
 	}
-	ts.Run()
-
 	var out []Result
 	for _, r := range rulesFor(system) {
-		out = append(out, compareCounters(prefix(r.name), fs.Stats(), ts.Stats(), r))
+		out = append(out, compareCounters(prefix(r.name), fst, ts.st, r))
 	}
 	return out
 }

@@ -99,14 +99,14 @@ func TestGoldenStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run("fsim-"+system, func(t *testing.T) {
-			st, err := runFsim(&cfg, tr, opt, nil)
+			st, err := runFsim(&cfg, tr, opt.Refs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkGoldenCounters(t, "fsim-"+system, st)
 		})
 		t.Run("tsim-"+system, func(t *testing.T) {
-			st, err := runTsim(&cfg, tr, opt, nil)
+			st, err := runTsim(&cfg, tr, opt.Refs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/inv"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/tsim"
 )
 
 // Invariants runs both simulators over every system with a per-run
@@ -27,7 +26,8 @@ func Invariants(opt Options) []Result {
 }
 
 // invariantUnits builds one independent unit per system. Each unit owns its
-// simulators, stats.Sets and inv.Recorders outright, so the units are safe
+// simulators, stats.Sets and inv.Recorders outright — a run with a
+// recorder attached never goes through Run's memo — so the units are safe
 // to fan out across goroutines alongside the other pillars' units.
 func invariantUnits(tr *trace.Trace, opt Options) []func() []Result {
 	var units []func() []Result
@@ -58,7 +58,7 @@ func InvariantRun(system string, cfg *config.Config, tr *trace.Trace, opt Option
 	// fsim under its own recorder.
 	frec := inv.NewRecorder()
 	frec.Enable(true)
-	fst, err := runFsim(cfg, tr, opt, frec)
+	fst, err := runFsim(cfg, tr, opt.Refs, frec)
 	out = append(out, violationResult(name("fsim-violations"), frec))
 	if err != nil {
 		return append(out, failf(PillarInvariant, name("fsim"), "%v", err))
@@ -71,7 +71,7 @@ func InvariantRun(system string, cfg *config.Config, tr *trace.Trace, opt Option
 	// tsim under its own recorder.
 	trec := inv.NewRecorder()
 	trec.Enable(true)
-	tst, err := runTsim(cfg, tr, opt, trec)
+	tst, err := runTsim(cfg, tr, opt.Refs, trec)
 	out = append(out, violationResult(name("tsim-violations"), trec))
 	if err != nil {
 		return append(out, failf(PillarInvariant, name("tsim"), "%v", err))
@@ -83,13 +83,15 @@ func InvariantRun(system string, cfg *config.Config, tr *trace.Trace, opt Option
 	return out
 }
 
-func runFsim(cfg *config.Config, tr *trace.Trace, opt Options, rec *inv.Recorder) (*stats.Set, error) {
+// runFsim replays refs references of tr through fsim under cfg, with rec
+// (which may be nil) as its invariant recorder.
+func runFsim(cfg *config.Config, tr *trace.Trace, refs int64, rec *inv.Recorder) (*stats.Set, error) {
 	gens, err := tr.Generators()
 	if err != nil {
 		return nil, err
 	}
 	s, err := fsim.New(cfg, fsim.Options{
-		Cores: tr.Cores, Refs: opt.Refs, Generators: gens, DataBytes: tr.Footprint,
+		Cores: tr.Cores, Refs: refs, Generators: gens, DataBytes: tr.Footprint,
 		Recorder: rec,
 	})
 	if err != nil {
@@ -99,15 +101,9 @@ func runFsim(cfg *config.Config, tr *trace.Trace, opt Options, rec *inv.Recorder
 	return s.Stats(), nil
 }
 
-func runTsim(cfg *config.Config, tr *trace.Trace, opt Options, rec *inv.Recorder) (*stats.Set, error) {
-	gens, err := tr.Generators()
-	if err != nil {
-		return nil, err
-	}
-	s, err := tsim.New(cfg, tsim.Options{
-		Cores: tr.Cores, Refs: opt.Refs, Generators: gens, DataBytes: tr.Footprint,
-		Recorder: rec,
-	})
+// runTsim is runFsim's tsim counterpart.
+func runTsim(cfg *config.Config, tr *trace.Trace, refs int64, rec *inv.Recorder) (*stats.Set, error) {
+	s, err := newReplaySim(cfg, tr, refs, rec)
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,122 @@
+package check
+
+import (
+	"bytes"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/config"
+)
+
+// TestRunMatchesStandalonePillars pins the memo's contract from outside:
+// Run, which shares one memo across all four pillars, must report exactly
+// what the pillars report when each runs on its own with a memo of its
+// own — at any parallelism.
+func TestRunMatchesStandalonePillars(t *testing.T) {
+	opt := Options{Refs: 4_000}
+	var want []Result
+	want = append(want, Differential(opt)...)
+	want = append(want, Metamorphic(opt)...)
+	want = append(want, Invariants(opt)...)
+	want = append(want, ShardParity(opt)...)
+	for _, parallel := range []int{1, 4} {
+		opt.Parallel = parallel
+		got := Run(opt)
+		if render(got) != render(want) {
+			t.Errorf("Parallel=%d: Run diverged from the standalone pillars:\nRun:\n%s\nstandalone:\n%s",
+				parallel, render(got), render(want))
+		}
+	}
+}
+
+// TestSimMemoConcurrent has many goroutines request the same few configs
+// at once: each config must be simulated exactly once, and every caller
+// must get that one run. CI repeats it under the race detector.
+func TestSimMemoConcurrent(t *testing.T) {
+	m := recordMemo(Options{Refs: 1_000}.withDefaults())
+	var cfgs []config.Config
+	for _, system := range []string{"non-secure", "emcc", "bipbip"} {
+		cfg, err := systemConfig(system)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	const callers = 8
+	got := make([][]*memoRun, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range cfgs {
+				// Stagger the order so callers race on different keys.
+				r, err := m.replay(cfgs[(i+g)%len(cfgs)])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g] = append(got[g], r)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if n := m.sims.Load(); n != int64(len(cfgs)) {
+		t.Fatalf("%d simulations for %d distinct configs", n, len(cfgs))
+	}
+	for i, cfg := range cfgs {
+		r := m.runs[cfg]
+		if r.requests != callers {
+			t.Errorf("config %d: %d requests, want %d", i, r.requests, callers)
+		}
+		if len(r.snap) == 0 || r.st == nil || r.res.SimulatedTime == 0 {
+			t.Errorf("config %d: empty result", i)
+		}
+	}
+	for g := range got {
+		for i, r := range got[g] {
+			want := m.runs[cfgs[(i+g)%len(cfgs)]]
+			if r != want || !bytes.Equal(r.snap, want.snap) {
+				t.Errorf("caller %d request %d got a different run", g, i)
+			}
+		}
+	}
+}
+
+// TestRunSimulatesEachConfigOnce counts the simulations one default Run
+// makes. The serial replays the pillars request overlap — the default
+// morphable config alone is requested by the differential replay,
+// shard-parity's 1-channel reference, AES monotonicity (14 ns is the
+// default) and qdelay dominance — and each must run once. At GOMAXPROCS 2
+// the default sharded run of every 4ch-8dom-cores cell uses 2 workers, so
+// that cell's workers-2 probe must reuse it instead of running again.
+func TestRunSimulatesEachConfigOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	rs, m := run(Options{Refs: 2_000, Parallel: 2})
+	if n := Failed(rs); n != 0 {
+		t.Fatalf("%d checks failed:\n%s", n, render(rs))
+	}
+	requests := 0
+	for _, r := range m.runs {
+		requests += r.requests
+	}
+	if n := m.sims.Load(); n != int64(len(m.runs)) {
+		t.Fatalf("%d simulations for %d distinct configs", n, len(m.runs))
+	}
+	// 5 differential replays, 25 shard-parity serial references, 3 AES,
+	// 3 in-SRAM, 4 bipbip and 2 dominance runs, over 17 distinct configs.
+	if requests != 42 || len(m.runs) != 17 {
+		t.Errorf("%d replay requests over %d configs, want 42 over 17", requests, len(m.runs))
+	}
+	if r := m.runs[config.Default()]; r == nil || r.requests != 4 {
+		t.Errorf("default config not requested 4 times: %+v", r)
+	}
+	if n := m.reusedProbes.Load(); n != int64(len(diffSystems)) {
+		t.Errorf("%d worker probes reused, want %d (the workers-2 probe of each system)", n, len(diffSystems))
+	}
+}

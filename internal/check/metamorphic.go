@@ -1,6 +1,7 @@
 package check
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/config"
@@ -8,45 +9,45 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/tsim"
 )
 
 // Metamorphic checks that perturbing configurations moves responses the
 // right way: analytic timelines first (cheap, exhaustive over a parameter
 // grid), then real tsim runs (expensive, a handful of points).
 func Metamorphic(opt Options) []Result {
-	opt = opt.withDefaults()
 	var out []Result
-	for _, unit := range metamorphicUnits(opt) {
+	for _, unit := range metamorphicUnits(recordMemo(opt.withDefaults())) {
 		out = append(out, unit()...)
 	}
 	return out
 }
 
 // metamorphicUnits splits the pillar into independent tasks for parallel
-// Run. AESMonotonicity and ChannelQueueing each record their own trace, so
-// the units share no state at all.
-func metamorphicUnits(opt Options) []func() []Result {
+// Run. The AES, in-SRAM, bipbip and qdelay-dominance units replay the
+// memo's trace through the memo, so a config one of them shares with
+// another pillar runs once. ChannelQueueing records its own heavier trace
+// and ExposedDecryptTail traces synthetic runs; both build their
+// simulators outright.
+func metamorphicUnits(m *simMemo) []func() []Result {
 	return []func() []Result{
 		func() []Result { return TimelineProperties() },
-		func() []Result { return []Result{AESMonotonicity(opt)} },
-		func() []Result { return []Result{ChannelQueueing(opt)} },
-		func() []Result { return []Result{ChannelQueueingDominance(opt)} },
-		func() []Result { return InSRAMBankMonotonicity(opt) },
-		func() []Result { return []Result{BipBipKnobInvariance(opt)} },
-		func() []Result { return []Result{ExposedDecryptTail(opt)} },
+		func() []Result { return []Result{aesMonotonicity(m)} },
+		func() []Result { return []Result{ChannelQueueing(m.opt)} },
+		func() []Result { return []Result{channelQueueingDominance(m)} },
+		func() []Result { return inSRAMBankMonotonicity(m) },
+		func() []Result { return []Result{bipbipKnobInvariance(m, bipbipKnobs)} },
+		func() []Result { return []Result{ExposedDecryptTail(m.opt)} },
 	}
 }
 
-// InSRAMBankMonotonicity checks the Sealer-style geometry model both ways:
+// inSRAMBankMonotonicity checks the Sealer-style geometry model both ways:
 // analytically, InSRAMAESLatency must be non-increasing and the provisioned
 // bandwidth strictly increasing in the bank count over a wide range; and in
 // the machine, tsim's simulated runtime must not increase when the in-SRAM
 // design gets more AES banks (more arrays can only help).
-func InSRAMBankMonotonicity(opt Options) []Result {
+func inSRAMBankMonotonicity(m *simMemo) []Result {
 	const nameLat = "insram-geometry-monotone"
 	const nameRun = "tsim-insram-banks-monotone"
-	opt = opt.withDefaults()
 
 	prevLat := sim.Time(0)
 	prevBW := 0.0
@@ -73,7 +74,7 @@ func InSRAMBankMonotonicity(opt Options) []Result {
 	// Machine-level: fewer banks = slower cipher, so runtime ordered by
 	// decreasing bank count must be non-decreasing.
 	banksDesc := []int{64, 4, 1}
-	times, err := tsimRuntimes(opt, func(cfg *config.Config, i int) {
+	times, err := tsimRuntimes(m, func(cfg *config.Config, i int) {
 		cfg.Counter = config.CtrInSRAM
 		cfg.CountersInLLC = false
 		cfg.InSRAMBanks = banksDesc[i]
@@ -84,17 +85,11 @@ func InSRAMBankMonotonicity(opt Options) []Result {
 	return append(out, assertNonDecreasing(nameRun, "in-SRAM banks 64→4→1", times))
 }
 
-// BipBipKnobInvariance pins CtrBipBip's independence from the counter-mode
-// machinery: the knobs that tune it — counter-cache size, the EMCC AES
-// split, the counter-mode AES latency — must be dead under the counter-free
-// design. Not merely "similar results": the perturbed runs must be
-// byte-identical in every recorded statistic and finish at the same tick.
-func BipBipKnobInvariance(opt Options) Result {
-	return bipbipInvarianceOver(opt, []knobPerturbation{
-		{"ctr-cache-4x", func(c *config.Config) { c.CtrCacheBytes = 512 << 10 }},
-		{"emcc-aes-frac-0.8", func(c *config.Config) { c.EMCCAESFraction = 0.8 }},
-		{"aes-latency-2x", func(c *config.Config) { c.AESLatency *= 2 }},
-	})
+// bipbipKnobs are the counter-mode knobs bipbipKnobInvariance perturbs.
+var bipbipKnobs = []knobPerturbation{
+	{"ctr-cache-4x", func(c *config.Config) { c.CtrCacheBytes = 512 << 10 }},
+	{"emcc-aes-frac-0.8", func(c *config.Config) { c.EMCCAESFraction = 0.8 }},
+	{"aes-latency-2x", func(c *config.Config) { c.AESLatency *= 2 }},
 }
 
 // knobPerturbation is one labelled config mutation for the invariance check.
@@ -103,45 +98,35 @@ type knobPerturbation struct {
 	mutate func(*config.Config)
 }
 
-// bipbipInvarianceOver runs the invariance comparison against an arbitrary
-// perturbation list; tests pass a knob that genuinely matters (the cipher
-// latency itself) to prove divergence is detected.
-func bipbipInvarianceOver(opt Options, perturbations []knobPerturbation) Result {
+// bipbipKnobInvariance pins CtrBipBip's independence from the counter-mode
+// machinery: the knobs that tune it (bipbipKnobs: counter-cache size, the
+// EMCC AES split, the counter-mode AES latency) must be dead under the
+// counter-free design. Not merely "similar results": the perturbed runs
+// must be byte-identical in every recorded statistic and finish at the
+// same tick. Tests pass a knob that genuinely matters (the cipher latency
+// itself) to prove divergence is detected.
+func bipbipKnobInvariance(m *simMemo, perturbations []knobPerturbation) Result {
 	const name = "tsim-bipbip-knob-invariance"
-	opt = opt.withDefaults()
-	tr, err := recordTrace(opt)
-	if err != nil {
-		return failf(PillarMetamorphic, name, "%v", err)
-	}
 	perturb := append([]knobPerturbation{{"baseline", func(*config.Config) {}}}, perturbations...)
-	var baseDump string
-	var baseTime sim.Time
+	var base *memoRun
 	for i, p := range perturb {
 		cfg := config.Default()
 		cfg.Counter = config.CtrBipBip
 		cfg.CountersInLLC = false
 		p.mutate(&cfg)
-		gens, err := tr.Generators()
-		if err != nil {
-			return failf(PillarMetamorphic, name, "%v", err)
-		}
-		s, err := tsim.New(&cfg, tsim.Options{
-			Cores: tr.Cores, Refs: opt.Refs, Generators: gens, DataBytes: tr.Footprint,
-		})
+		r, err := m.replay(cfg)
 		if err != nil {
 			return failf(PillarMetamorphic, name, "%s: %v", p.label, err)
 		}
-		res := s.Run()
-		dump := s.Stats().Dump()
 		if i == 0 {
-			baseDump, baseTime = dump, res.SimulatedTime
+			base = r
 			continue
 		}
-		if res.SimulatedTime != baseTime {
+		if r.res.SimulatedTime != base.res.SimulatedTime {
 			return failf(PillarMetamorphic, name,
-				"%s changed the runtime: %v vs baseline %v — a counter-mode knob leaked into the counter-free design", p.label, res.SimulatedTime, baseTime)
+				"%s changed the runtime: %v vs baseline %v — a counter-mode knob leaked into the counter-free design", p.label, r.res.SimulatedTime, base.res.SimulatedTime)
 		}
-		if dump != baseDump {
+		if !bytes.Equal(r.snap, base.snap) {
 			return failf(PillarMetamorphic, name,
 				"%s changed recorded statistics — a counter-mode knob leaked into the counter-free design", p.label)
 		}
@@ -246,12 +231,11 @@ func timelineEMCCLoss(cfg *config.Config) string {
 	return ""
 }
 
-// AESMonotonicity runs tsim at increasing AES latencies on the same trace
+// aesMonotonicity runs tsim at increasing AES latencies on the same trace
 // and requires simulated runtime never to decrease: a slower decrypt engine
 // cannot speed the machine up.
-func AESMonotonicity(opt Options) Result {
-	opt = opt.withDefaults()
-	times, err := tsimRuntimes(opt, func(cfg *config.Config, i int) {
+func aesMonotonicity(m *simMemo) Result {
+	times, err := tsimRuntimes(m, func(cfg *config.Config, i int) {
 		ns := 7 << uint(i) // 7, 14, 28 ns
 		cfg.AESLatency = sim.NS(float64(ns))
 	}, 3)
@@ -261,28 +245,18 @@ func AESMonotonicity(opt Options) Result {
 	return assertNonDecreasing("tsim-aes-monotone", "AES latency 7→14→28 ns", times)
 }
 
-// tsimRuntimes runs n tsim configurations derived from the default by
-// mutate(cfg, i) over one shared trace and returns the simulated runtimes.
-func tsimRuntimes(opt Options, mutate func(*config.Config, int), n int) ([]sim.Time, error) {
-	tr, err := recordTrace(opt)
-	if err != nil {
-		return nil, err
-	}
+// tsimRuntimes replays n configurations derived from the default by
+// mutate(cfg, i) through m and returns the simulated runtimes.
+func tsimRuntimes(m *simMemo, mutate func(*config.Config, int), n int) ([]sim.Time, error) {
 	times := make([]sim.Time, n)
 	for i := 0; i < n; i++ {
 		cfg := config.Default()
 		mutate(&cfg, i)
-		gens, err := tr.Generators()
+		r, err := m.replay(cfg)
 		if err != nil {
 			return nil, err
 		}
-		s, err := tsim.New(&cfg, tsim.Options{
-			Cores: tr.Cores, Refs: opt.Refs, Generators: gens, DataBytes: tr.Footprint,
-		})
-		if err != nil {
-			return nil, err
-		}
-		times[i] = s.Run().SimulatedTime
+		times[i] = r.res.SimulatedTime
 	}
 	return times, nil
 }
@@ -320,13 +294,7 @@ func ChannelQueueing(opt Options) Result {
 	for i, channels := range []int{1, 4} {
 		cfg := config.Default()
 		cfg.Channels = channels
-		gens, err := tr.Generators()
-		if err != nil {
-			return failf(PillarMetamorphic, "tsim-channel-qdelay", "%v", err)
-		}
-		s, err := tsim.New(&cfg, tsim.Options{
-			Cores: tr.Cores, Refs: opt.Refs, Generators: gens, DataBytes: tr.Footprint,
-		})
+		s, err := newReplaySim(&cfg, tr, opt.Refs, nil)
 		if err != nil {
 			return failf(PillarMetamorphic, "tsim-channel-qdelay", "%v", err)
 		}
@@ -342,7 +310,7 @@ func ChannelQueueing(opt Options) Result {
 		"mean data-read qdelay %.3f ns (1 ch) → %.3f ns (4 ch)", delays[0], delays[1])
 }
 
-// ChannelQueueingDominance strengthens ChannelQueueing from a mean
+// channelQueueingDominance strengthens ChannelQueueing from a mean
 // comparison to first-order stochastic dominance over the per-request
 // data-read queuing-delay distribution: at every histogram bucket boundary
 // the 4-channel CDF must sit at or above the 1-channel CDF (minus a small
@@ -350,30 +318,18 @@ func ChannelQueueing(opt Options) Result {
 // mean property, dominance binds at any load — at light load both CDFs
 // saturate near 1 immediately and the comparison is trivially tight, while
 // a mean of near-zero delays could hide a heavy tail.
-func ChannelQueueingDominance(opt Options) Result {
+func channelQueueingDominance(m *simMemo) Result {
 	const name = "tsim-channel-qdelay-dominance"
-	opt = opt.withDefaults()
-	tr, err := recordTrace(opt)
-	if err != nil {
-		return failf(PillarMetamorphic, name, "%v", err)
-	}
 	cdfs := make([][]float64, 2)
 	totals := make([]int64, 2)
 	for i, channels := range []int{1, 4} {
 		cfg := config.Default()
 		cfg.Channels = channels
-		gens, err := tr.Generators()
+		r, err := m.replay(cfg)
 		if err != nil {
 			return failf(PillarMetamorphic, name, "%v", err)
 		}
-		s, err := tsim.New(&cfg, tsim.Options{
-			Cores: tr.Cores, Refs: opt.Refs, Generators: gens, DataBytes: tr.Footprint,
-		})
-		if err != nil {
-			return failf(PillarMetamorphic, name, "%v", err)
-		}
-		s.Run()
-		h := s.Stats().Hist(stats.DramQDelayDataRead)
+		h := r.st.Hist(stats.DramQDelayDataRead)
 		totals[i] = h.Count()
 		cdfs[i] = histCDF(h)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/trace"
-	"repro/internal/tsim"
 )
 
 // shardGrid is the engine-partitioning grid every differential system is
@@ -29,10 +28,11 @@ var shardGrid = []struct {
 // shardParityUnits builds the shard-parity pillar: for every system of the
 // differential grid and every partitioning in shardGrid, replay the shared
 // trace on the serial engine and on the domain-sharded engine and require
-// byte-identical stats snapshots. One representative additionally re-runs
-// the sharded engine at a different worker count — the schedule must be a
-// pure function of the partitioning, never of the host parallelism.
-func shardParityUnits(tr *trace.Trace, opt Options) []func() []Result {
+// byte-identical stats snapshots. Some cells additionally re-run the
+// sharded engine at other worker counts — the schedule must be a pure
+// function of the partitioning, never of the host parallelism. The serial
+// references come from the memo: one per system and channel count.
+func shardParityUnits(m *simMemo) []func() []Result {
 	var units []func() []Result
 	for _, system := range diffSystems {
 		for _, g := range shardGrid {
@@ -62,7 +62,7 @@ func shardParityUnits(tr *trace.Trace, opt Options) []func() []Result {
 				} else if system == "morphable" && !g.cores && g.channels == 4 && g.domains == 4 {
 					workers = []int{1}
 				}
-				return CompareShardRun(name, &cfg, &sharded, tr, opt, workers...)
+				return compareShardRun(name, &cfg, &sharded, m, workers...)
 			})
 		}
 	}
@@ -72,13 +72,12 @@ func shardParityUnits(tr *trace.Trace, opt Options) []func() []Result {
 // ShardParity runs the shard-parity pillar standalone (cmd/check and tests;
 // Run fans the same units out with the other pillars).
 func ShardParity(opt Options) []Result {
-	opt = opt.withDefaults()
-	tr, err := recordTrace(opt)
-	if err != nil {
-		return []Result{failf(PillarShardParity, "record-trace", "%v", err)}
+	m := recordMemo(opt.withDefaults())
+	if m.err != nil {
+		return []Result{failf(PillarShardParity, "record-trace", "%v", m.err)}
 	}
 	var out []Result
-	for _, unit := range shardParityUnits(tr, opt) {
+	for _, unit := range shardParityUnits(m) {
 		out = append(out, unit()...)
 	}
 	return out
@@ -91,30 +90,39 @@ func ShardParity(opt Options) []Result {
 // normally differ only in the partition; tests pass genuinely different
 // ones to prove the comparison detects divergence.
 func CompareShardRun(name string, cfgSerial, cfgSharded *config.Config, tr *trace.Trace, opt Options, altWorkers ...int) []Result {
-	opt = opt.withDefaults()
-	serial, err := shardSnapshot(cfgSerial, tr, opt, 0)
+	return compareShardRun(name, cfgSerial, cfgSharded, newSimMemo(tr, opt), altWorkers...)
+}
+
+// compareShardRun is CompareShardRun with the serial reference served by m.
+// A worker probe whose effective worker count — read from the built
+// simulator — equals that of a sharded run already made reuses that run's
+// snapshot: the two would execute the same schedule on the same number of
+// goroutines.
+func compareShardRun(name string, cfgSerial, cfgSharded *config.Config, m *simMemo, altWorkers ...int) []Result {
+	serial, err := m.replay(*cfgSerial)
 	if err != nil {
 		return []Result{failf(PillarShardParity, name, "serial run: %v", err)}
 	}
-	sharded, err := shardSnapshot(cfgSharded, tr, opt, 0)
+	byWorkers := make(map[int][]byte)
+	sharded, err := shardSnapshot(cfgSharded, m, 0, byWorkers)
 	if err != nil {
 		return []Result{failf(PillarShardParity, name, "sharded run: %v", err)}
 	}
-	if !bytes.Equal(serial, sharded) {
+	if !bytes.Equal(serial.snap, sharded) {
 		return []Result{failf(PillarShardParity, name,
-			"sharded snapshot diverged from serial (%d vs %d bytes)", len(sharded), len(serial))}
+			"sharded snapshot diverged from serial (%d vs %d bytes)", len(sharded), len(serial.snap))}
 	}
 	out := []Result{passf(PillarShardParity, name,
-		"serial and sharded snapshots byte-identical (%d bytes)", len(serial))}
+		"serial and sharded snapshots byte-identical (%d bytes)", len(serial.snap))}
 	for _, w := range altWorkers {
 		if w <= 0 {
 			continue
 		}
-		alt, err := shardSnapshot(cfgSharded, tr, opt, w)
+		alt, err := shardSnapshot(cfgSharded, m, w, byWorkers)
 		if err != nil {
 			return append(out, failf(PillarShardParity, fmt.Sprintf("%s/workers-%d", name, w), "run: %v", err))
 		}
-		if !bytes.Equal(serial, alt) {
+		if !bytes.Equal(serial.snap, alt) {
 			return append(out, failf(PillarShardParity, fmt.Sprintf("%s/workers-%d", name, w),
 				"worker count %d changed the sharded snapshot", w))
 		}
@@ -124,22 +132,28 @@ func CompareShardRun(name string, cfgSerial, cfgSharded *config.Config, tr *trac
 	return out
 }
 
-// shardSnapshot replays tr through one tsim instance and returns its stable
-// stats snapshot.
-func shardSnapshot(cfg *config.Config, tr *trace.Trace, opt Options, workers int) ([]byte, error) {
-	gens, err := tr.Generators()
-	if err != nil {
-		return nil, err
-	}
-	s, err := tsim.New(cfg, tsim.Options{
-		Cores: tr.Cores, Refs: opt.Refs, Generators: gens, DataBytes: tr.Footprint,
-	})
+// shardSnapshot replays m's trace through one tsim instance under cfg at
+// the given worker count (0 = the engine's default) and returns its stable
+// stats snapshot. byWorkers holds the snapshots of cfg's runs so far by
+// effective worker count; a run at a count already there is not repeated.
+func shardSnapshot(cfg *config.Config, m *simMemo, workers int, byWorkers map[int][]byte) ([]byte, error) {
+	s, err := newReplaySim(cfg, m.tr, m.refs, nil)
 	if err != nil {
 		return nil, err
 	}
 	if workers > 0 {
 		s.SetShardWorkers(workers)
 	}
+	n := s.ShardWorkers()
+	if snap, ok := byWorkers[n]; ok {
+		m.reusedProbes.Add(1)
+		return snap, nil
+	}
 	s.Run()
-	return s.Stats().Snapshot().StableJSON()
+	snap, err := s.Stats().Snapshot().StableJSON()
+	if err != nil {
+		return nil, err
+	}
+	byWorkers[n] = snap
+	return snap, nil
 }

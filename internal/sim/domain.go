@@ -345,23 +345,16 @@ func (s *Shard) deliverAll() bool {
 
 // Run executes barrier rounds until every domain's queue is empty and no
 // message is buffered. It may be called repeatedly; each call drains
-// whatever has been seeded since (events or pre-Run sends alike). With
-// Workers > 1 it spawns that many round workers for the duration of the
-// call; execution is nonetheless byte-identical to Workers = 1. The serial
+// whatever has been seeded since (events or pre-Run sends alike). When
+// RunWorkers() > 1 it spawns that many round workers for the duration of
+// the call; execution is nonetheless byte-identical to Workers = 1. The serial
 // path is allocation-free in steady state — the worker machinery lives in
 // runParallel so nothing here escapes.
 func (s *Shard) Run() {
 	if !s.final {
 		panic("sim: Shard.Run before Finalize")
 	}
-	nw := s.Workers
-	if nw < 1 {
-		nw = 1
-	}
-	if nw > len(s.doms) {
-		nw = len(s.doms)
-	}
-	if nw > 1 {
+	if nw := s.RunWorkers(); nw > 1 {
 		s.runParallel(nw)
 		return
 	}
@@ -371,6 +364,19 @@ func (s *Shard) Run() {
 		}
 		s.endRound()
 	}
+}
+
+// RunWorkers reports how many goroutines Run executes rounds on: Workers
+// clamped to at least 1 and at most the domain count.
+func (s *Shard) RunWorkers() int {
+	nw := s.Workers
+	if nw < 1 {
+		nw = 1
+	}
+	if nw > len(s.doms) {
+		nw = len(s.doms)
+	}
+	return nw
 }
 
 // runParallel is Run's multi-worker body: nw-1 spawned workers plus the

@@ -168,6 +168,20 @@ func TestShardZeroLatencyCycleRejected(t *testing.T) {
 
 // ---- Drain, restart and progress accounting ----
 
+// TestShardRunWorkersClamp pins the worker count Run executes rounds on:
+// at least one, at most one per domain.
+func TestShardRunWorkersClamp(t *testing.T) {
+	sh := NewShard(New(), 0)
+	sh.AddDomain("a")
+	sh.AddDomain("b")
+	for _, c := range []struct{ workers, want int }{{-1, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 3}, {9, 3}} {
+		sh.Workers = c.workers
+		if got := sh.RunWorkers(); got != c.want {
+			t.Errorf("Workers=%d over 3 domains: RunWorkers()=%d, want %d", c.workers, got, c.want)
+		}
+	}
+}
+
 // TestShardRunTwiceDrains checks Run is restartable: seeding more work
 // after a drain and running again executes it, with Steps and Rounds
 // accumulating monotonically.

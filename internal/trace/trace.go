@@ -4,24 +4,35 @@
 // simulator configuration (the Pin-trace workflow of the paper's Sec. III).
 //
 // The format is a compact binary stream: a header (magic, version,
-// benchmark name, core count, footprint) followed by one varint-encoded
-// record per access. Addresses are zigzag-delta encoded per core, so
-// streaming workloads cost ~3 bytes per reference.
+// benchmark name, core count, footprint), one varint-encoded record per
+// access, and a trailer. Addresses are zigzag-delta encoded per core, so
+// streaming workloads cost ~3 bytes per reference. The trailer is an end
+// marker (the core count, one past the last core index), the record count
+// and a little-endian CRC-32 (Castagnoli) of every byte before the
+// checksum. Read rejects a stream whose trailer is missing, short or
+// inconsistent with the records, and any access at or above the footprint
+// — the timing simulator lays its counters and integrity tree right above
+// it — so a truncated or damaged file fails loudly instead of replaying as
+// a different workload.
 package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 
 	"repro/internal/workload"
 )
 
 const (
-	magic   = "EMCCTRC1"
-	version = 1
+	magic = "EMCCTRC1"
+	// version 2 added the trailer; version-1 streams are rejected.
+	version = 2
 )
 
 // flag bits in each record.
@@ -30,34 +41,50 @@ const (
 	flagDep   = 1 << 1
 )
 
+// castagnoli returns the CRC-32C table of the trailer checksum. The
+// table is built on first use, not at package init: building it takes a
+// quarter of a millisecond, which every program importing this package
+// would otherwise pay at start-up.
+func castagnoli() *crc32.Table { return crc32.MakeTable(crc32.Castagnoli) }
+
 // Writer streams accesses into a trace.
 type Writer struct {
-	w        *bufio.Writer
-	cores    int
-	lastAddr []uint64
-	count    int64
-	closed   bool
+	w         *bufio.Writer
+	crc       uint32
+	cores     int
+	footprint uint64
+	lastAddr  []uint64
+	count     int64
+	closed    bool
 }
 
-// NewWriter writes the header for a trace of `cores` interleaved streams.
+// NewWriter writes the header for a trace of `cores` interleaved streams
+// over addresses [0, footprint).
 func NewWriter(w io.Writer, name string, cores int, footprint int64) (*Writer, error) {
 	if cores <= 0 {
 		return nil, fmt.Errorf("trace: cores must be positive, got %d", cores)
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return nil, err
+	if footprint < 0 {
+		return nil, fmt.Errorf("trace: negative footprint %d", footprint)
 	}
-	var hdr []byte
+	t := &Writer{w: bufio.NewWriter(w), cores: cores, footprint: uint64(footprint), lastAddr: make([]uint64, cores)}
+	hdr := []byte(magic)
 	hdr = binary.AppendUvarint(hdr, version)
 	hdr = binary.AppendUvarint(hdr, uint64(len(name)))
 	hdr = append(hdr, name...)
 	hdr = binary.AppendUvarint(hdr, uint64(cores))
 	hdr = binary.AppendUvarint(hdr, uint64(footprint))
-	if _, err := bw.Write(hdr); err != nil {
+	if err := t.write(hdr); err != nil {
 		return nil, err
 	}
-	return &Writer{w: bw, cores: cores, lastAddr: make([]uint64, cores)}, nil
+	return t, nil
+}
+
+// write emits b and folds it into the running checksum.
+func (t *Writer) write(b []byte) error {
+	t.crc = crc32.Update(t.crc, castagnoli(), b)
+	_, err := t.w.Write(b)
+	return err
 }
 
 // Append records one access of core `core`.
@@ -67,6 +94,9 @@ func (t *Writer) Append(core int, a workload.Access) error {
 	}
 	if core < 0 || core >= t.cores {
 		return fmt.Errorf("trace: core %d out of range [0,%d)", core, t.cores)
+	}
+	if a.Addr >= t.footprint {
+		return fmt.Errorf("trace: address %#x outside footprint %#x", a.Addr, t.footprint)
 	}
 	var rec []byte
 	rec = binary.AppendUvarint(rec, uint64(core))
@@ -83,16 +113,28 @@ func (t *Writer) Append(core int, a workload.Access) error {
 	rec = binary.AppendUvarint(rec, uint64(a.NonMem))
 	t.lastAddr[core] = a.Addr
 	t.count++
-	_, err := t.w.Write(rec)
-	return err
+	return t.write(rec)
 }
 
 // Count reports records appended so far.
 func (t *Writer) Count() int64 { return t.count }
 
-// Close flushes the trace. The Writer is unusable afterwards.
+// Close writes the trailer and flushes the trace. The Writer is unusable
+// afterwards.
 func (t *Writer) Close() error {
+	if t.closed {
+		return errors.New("trace: writer closed")
+	}
 	t.closed = true
+	var tail []byte
+	tail = binary.AppendUvarint(tail, uint64(t.cores))
+	tail = binary.AppendUvarint(tail, uint64(t.count))
+	if err := t.write(tail); err != nil {
+		return err
+	}
+	if _, err := t.w.Write(binary.LittleEndian.AppendUint32(nil, t.crc)); err != nil {
+		return err
+	}
 	return t.w.Flush()
 }
 
@@ -105,9 +147,14 @@ type Trace struct {
 	PerCore [][]workload.Access
 }
 
-// Read loads a complete trace from r.
+// Read loads a complete trace from r, verifying its trailer and that
+// every access lies inside the footprint.
 func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	br := bytes.NewReader(data)
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
@@ -144,6 +191,9 @@ func Read(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	if footprint > math.MaxInt64 {
+		return nil, fmt.Errorf("trace: unreasonable footprint %d", footprint)
+	}
 	tr := &Trace{
 		Name:      string(nameBuf),
 		Cores:     int(cores),
@@ -151,30 +201,37 @@ func Read(r io.Reader) (*Trace, error) {
 		PerCore:   make([][]workload.Access, cores),
 	}
 	last := make([]uint64, cores)
+	var n uint64
 	for {
+		if br.Len() == 0 {
+			return nil, fmt.Errorf("trace: missing trailer: stream ends after %d records", n)
+		}
 		core, err := binary.ReadUvarint(br)
-		if err == io.EOF {
-			return tr, nil
-		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trace: record %d: %w", n, err)
 		}
-		if core >= cores {
-			return nil, fmt.Errorf("trace: core %d out of range", core)
+		if core == cores {
+			break // the trailer's end marker
+		}
+		if core > cores {
+			return nil, fmt.Errorf("trace: record %d: core %d out of range", n, core)
 		}
 		flags, err := br.ReadByte()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trace: record %d: %w", n, err)
 		}
 		delta, err := binary.ReadVarint(br)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trace: record %d: %w", n, err)
 		}
 		nonMem, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trace: record %d: %w", n, err)
 		}
 		addr := uint64(int64(last[core]) + delta)
+		if addr >= footprint {
+			return nil, fmt.Errorf("trace: record %d: core %d address %#x outside footprint %#x", n, core, addr, footprint)
+		}
 		last[core] = addr
 		tr.PerCore[core] = append(tr.PerCore[core], workload.Access{
 			Addr:   addr,
@@ -182,7 +239,26 @@ func Read(r io.Reader) (*Trace, error) {
 			Dep:    flags&flagDep != 0,
 			NonMem: int(nonMem),
 		})
+		n++
 	}
+	count, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("trace: short trailer: record count: %w", err)
+	}
+	summed := len(data) - br.Len()
+	if br.Len() < 4 {
+		return nil, fmt.Errorf("trace: short trailer: %d of 4 checksum bytes", br.Len())
+	}
+	if br.Len() > 4 {
+		return nil, fmt.Errorf("trace: %d bytes after the trailer", br.Len()-4)
+	}
+	if count != n {
+		return nil, fmt.Errorf("trace: trailer counts %d records, stream holds %d", count, n)
+	}
+	if want, got := binary.LittleEndian.Uint32(data[summed:]), crc32.Checksum(data[:summed], castagnoli()); got != want {
+		return nil, fmt.Errorf("trace: checksum mismatch: trailer %#08x, stream %#08x", want, got)
+	}
+	return tr, nil
 }
 
 // Generators returns one replaying generator per core. Streams loop when

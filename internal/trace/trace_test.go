@@ -2,6 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -159,25 +163,146 @@ func TestWriterValidation(t *testing.T) {
 	if err := w.Append(5, workload.Access{}); err == nil {
 		t.Fatal("out-of-range core accepted")
 	}
+	if err := w.Append(0, workload.Access{Addr: 1}); err == nil {
+		t.Fatal("address outside the footprint accepted")
+	}
 	w.Close()
 	if err := w.Append(0, workload.Access{}); err == nil {
 		t.Fatal("append after close accepted")
 	}
+	if err := w.Close(); err == nil {
+		t.Fatal("second close accepted")
+	}
+	if _, err := NewWriter(&buf, "x", 1, -1); err == nil {
+		t.Fatal("negative footprint accepted")
+	}
 }
 
 func TestTruncatedStreamRejected(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, "x", 1, 1<<12)
-	w.Append(0, workload.Access{Addr: 0x40, NonMem: 3})
-	w.Close()
-	full := buf.Bytes()
-	// Chop mid-record (after magic+header): decoding must error, not
-	// hang or fabricate records.
-	for cut := len(full) - 1; cut > len(full)-3; cut-- {
+	full, ends := sampleTrace(t)
+	// Chop inside the last record: decoding must error, not hang or
+	// fabricate records.
+	for cut := ends[len(ends)-1] - 1; cut > ends[len(ends)-2]; cut-- {
 		if _, err := Read(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
+}
+
+// sampleTrace writes a small two-core trace and reports its bytes and the
+// stream offset at which each record ends.
+func sampleTrace(t *testing.T) ([]byte, []int) {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, "x", 2, 1<<12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int
+	for i := 0; i < 8; i++ {
+		if err := w.Append(i%2, workload.Access{Addr: uint64(i) * 0x140, NonMem: i}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, buf.Len())
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), ends
+}
+
+// reseal recomputes a stream's trailer checksum after a test edits it, so
+// the edit is caught by the check the test targets and not the checksum.
+func reseal(b []byte) []byte {
+	b = append([]byte(nil), b...)
+	n := len(b) - 4
+	binary.LittleEndian.PutUint32(b[n:], crc32.Checksum(b[:n], castagnoli()))
+	return b
+}
+
+// wantErr reads b and requires an error naming what failed.
+func wantErr(t *testing.T, b []byte, what string) {
+	t.Helper()
+	_, err := Read(bytes.NewReader(b))
+	if err == nil {
+		t.Fatalf("accepted; want an error naming %q", what)
+	}
+	if !strings.Contains(err.Error(), what) {
+		t.Fatalf("error %q does not name %q", err, what)
+	}
+}
+
+// TestTruncatedAtRecordBoundaryRejected: a stream cut between records
+// decodes cleanly as a shorter trace, so only the missing trailer can
+// reveal the cut.
+func TestTruncatedAtRecordBoundaryRejected(t *testing.T) {
+	full, ends := sampleTrace(t)
+	for _, cut := range ends {
+		wantErr(t, full[:cut], "missing trailer")
+	}
+}
+
+// TestShortTrailerRejected cuts the stream inside its trailer, and appends
+// to it.
+func TestShortTrailerRejected(t *testing.T) {
+	full, ends := sampleTrace(t)
+	wantErr(t, full[:ends[len(ends)-1]+1], "short trailer: record count")
+	for cut := len(full) - 4; cut < len(full); cut++ {
+		wantErr(t, full[:cut], "short trailer")
+	}
+	wantErr(t, append(append([]byte(nil), full...), 0), "after the trailer")
+}
+
+// TestTrailerCountMismatchRejected drops the last record and reseals the
+// checksum: the records still decode, but the count no longer matches.
+func TestTrailerCountMismatchRejected(t *testing.T) {
+	full, ends := sampleTrace(t)
+	dropped := append(append([]byte(nil), full[:ends[len(ends)-2]]...), full[ends[len(ends)-1]:]...)
+	wantErr(t, reseal(dropped), "trailer counts 8 records, stream holds 7")
+}
+
+// TestChecksumMismatchRejected flips one record's write flag: the stream
+// still decodes to a valid trace of a different workload.
+func TestChecksumMismatchRejected(t *testing.T) {
+	full, ends := sampleTrace(t)
+	bad := append([]byte(nil), full...)
+	bad[ends[2]+1] ^= flagWrite // record 3: core byte, then flags
+	wantErr(t, bad, "checksum mismatch")
+}
+
+// TestAddressOutsideFootprintRejected: tsim places counters and the
+// integrity tree right above the footprint, so an access there would land
+// on metadata.
+func TestAddressOutsideFootprintRejected(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, "x", 1, 1<<12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.footprint = math.MaxUint64 // let the writer emit what Append refuses
+	if err := w.Append(0, workload.Access{Addr: 0x40}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(0, workload.Access{Addr: 1 << 12}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantErr(t, buf.Bytes(), "address 0x1000 outside footprint 0x1000")
+}
+
+// TestVersion1Rejected: version-1 streams carry no trailer, so nothing
+// would reveal their truncation.
+func TestVersion1Rejected(t *testing.T) {
+	v1 := []byte(magic)
+	v1 = binary.AppendUvarint(v1, 1)
+	v1 = append(v1, 1, 'x', 1, 0x80, 0x20) // name "x", 1 core, 4 KB
+	v1 = append(v1, 0, 0, 0x80, 0x01, 0)   // core 0 reads 0x40
+	wantErr(t, v1, "unsupported version 1")
 }
 
 func TestRecordUnknownBenchmark(t *testing.T) {

@@ -1,6 +1,7 @@
 package tsim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -108,6 +109,45 @@ func TestShardWorkerCountParity(t *testing.T) {
 	many := shardSnap(t, mutate, 5)
 	if string(one) != string(many) {
 		t.Error("worker count changed the sharded run's results")
+	}
+}
+
+// TestShardWorkersReportsRunCount: ShardWorkers is 0 on the serial engine
+// and otherwise the count the sharded engine will run on — the host-capped
+// default, or the SetShardWorkers override clamped to the domain count.
+func TestShardWorkersReportsRunCount(t *testing.T) {
+	build := func(domains int) *Sim {
+		t.Helper()
+		cfg := config.Default()
+		cfg.Channels = 4
+		cfg.Domains = domains
+		s, err := New(&cfg, Options{
+			Benchmark: "canneal", Seed: 7, Refs: 1_000,
+			Scale: workload.TestScale(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	serial := build(0)
+	serial.SetShardWorkers(4)
+	if n := serial.ShardWorkers(); n != 0 {
+		t.Errorf("serial engine reports %d shard workers, want 0", n)
+	}
+	s := build(4)
+	if n := s.ShardWorkers(); n < 1 || n > runtime.GOMAXPROCS(0) {
+		t.Errorf("default shard workers %d outside [1, GOMAXPROCS=%d]", n, runtime.GOMAXPROCS(0))
+	}
+	for _, w := range []int{1, 2, 3} {
+		s.SetShardWorkers(w)
+		if n := s.ShardWorkers(); n != w {
+			t.Errorf("SetShardWorkers(%d): ShardWorkers()=%d", w, n)
+		}
+	}
+	s.SetShardWorkers(1 << 20)
+	if n := s.ShardWorkers(); n != s.shard.RunWorkers() || n >= 1<<20 {
+		t.Errorf("SetShardWorkers(1<<20): ShardWorkers()=%d not clamped to the domain count", n)
 	}
 }
 

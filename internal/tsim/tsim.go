@@ -244,6 +244,17 @@ func (s *Sim) SetShardWorkers(n int) {
 	}
 }
 
+// ShardWorkers reports how many goroutines the sharded engine will run
+// its rounds on — the host-capped default or the SetShardWorkers
+// override, clamped as sim.Shard.Run clamps it — or 0 on the serial
+// engine.
+func (s *Sim) ShardWorkers() int {
+	if s.shard == nil {
+		return 0
+	}
+	return s.shard.RunWorkers()
+}
+
 // Run warms the machine, executes the workload to completion and
 // summarises.
 func (s *Sim) Run() Result {
