@@ -270,43 +270,6 @@ func BenchmarkTimingSimThroughput(b *testing.B) {
 	s.Run()
 }
 
-// benchShardedTsim runs the end-to-end timing simulation on a 4-channel
-// memory system with the DRAM channels sharded into the given number of
-// lookahead-synchronized domains (0 = the serial engine).
-func benchShardedTsim(b *testing.B, domains int) {
-	cfg := config.Default()
-	cfg.EMCC = true
-	cfg.Channels = 4
-	cfg.Domains = domains
-	refs := int64(b.N)
-	if refs < 4 {
-		refs = 4
-	}
-	s, err := tsim.New(&cfg, tsim.Options{
-		Benchmark: "canneal", Seed: 1, Refs: refs, Scale: workload.TestScale(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	s.Run()
-}
-
-// BenchmarkTimingSimSharded is the domain-scaling suite recorded in
-// BENCH_8.json: the serial engine against 1, 2 and 4 DRAM domains on an
-// otherwise identical 4-channel machine. Every variant produces
-// byte-identical stats (the shard-parity check pillar), so the comparison
-// prices pure engine overhead/benefit.
-func BenchmarkTimingSimSharded(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchShardedTsim(b, 0) })
-	for _, d := range []int{1, 2, 4} {
-		d := d
-		// '=' rather than '-' in the sub-name: cmd/bench strips a trailing
-		// -GOMAXPROCS segment from reported names.
-		b.Run("domains="+strconv.Itoa(d), func(b *testing.B) { benchShardedTsim(b, d) })
-	}
-}
-
 // BenchmarkTimingSimTraced is the same run with full tracing into the
 // aggregate sink (no Chrome writer): the cost of attributing every request.
 func BenchmarkTimingSimTraced(b *testing.B) {
@@ -322,48 +285,32 @@ func BenchmarkTimingSimTraced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := s.SetTracer(obs.New(obs.Options{Stats: s.Stats()})); err != nil {
-		b.Fatal(err)
-	}
+	s.SetTracer(obs.New(obs.Options{Stats: s.Stats()}))
 	b.ResetTimer()
 	s.Run()
 }
 
-// benchCoRunTsim runs the multi-core co-run frontend: four cores each
-// replay their own workload stream ("mcf+canneal" alternates mcf and
-// canneal across cores at stacked, disjoint address regions) into the
-// shared sliced LLC on a 4-channel memory system, with the topology cut
-// into the given number of slice-group domains (0 = serial engine) and,
-// optionally, per-core L2 domains on top.
-func benchCoRunTsim(b *testing.B, domains int, shardCores bool) {
-	cfg := config.Default()
-	cfg.EMCC = true
-	cfg.Channels = 4
-	cfg.Domains = domains
-	cfg.ShardCores = shardCores
-	refs := int64(b.N)
-	if refs < 4 {
-		refs = 4
-	}
-	s, err := tsim.New(&cfg, tsim.Options{
-		Benchmark: "mcf+canneal", Seed: 1, Refs: refs, Scale: workload.TestScale(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	s.Run()
-}
-
-// BenchmarkTimingSimCoRun is the topology-sharding suite recorded in
-// BENCH_10.json: the 4-core mcf+canneal co-run on the serial engine, on a
-// slice-sharded cut, and on the widest cut (8 slice-group domains plus a
-// domain per core+L2 tile). Byte-identical results across all variants —
-// the shard-parity pillar covers this grid — so the ratios price the
-// engine alone. Wall-clock speedup from the cut scales with the CPUs the
-// host grants the process; the artifact records runtime.NumCPU alongside.
+// BenchmarkTimingSimCoRun runs the multi-core co-run frontend: four
+// cores each replay their own workload stream ("mcf+canneal" alternates
+// mcf and canneal across cores at stacked, disjoint address regions) into
+// the shared sliced LLC on a 4-channel memory system. The sub-benchmark
+// keeps the name BENCH_10.json recorded it under.
 func BenchmarkTimingSimCoRun(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchCoRunTsim(b, 0, false) })
-	b.Run("domains=4", func(b *testing.B) { benchCoRunTsim(b, 4, false) })
-	b.Run("domains=8+cores", func(b *testing.B) { benchCoRunTsim(b, 8, true) })
+	b.Run("serial", func(b *testing.B) {
+		cfg := config.Default()
+		cfg.EMCC = true
+		cfg.Channels = 4
+		refs := int64(b.N)
+		if refs < 4 {
+			refs = 4
+		}
+		s, err := tsim.New(&cfg, tsim.Options{
+			Benchmark: "mcf+canneal", Seed: 1, Refs: refs, Scale: workload.TestScale(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		s.Run()
+	})
 }

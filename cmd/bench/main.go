@@ -5,14 +5,12 @@
 // graph run pays (on every CPU, and on one worker so the single-thread cost
 // stays on record; their ratio is the speedup at the artifact's cpus), the
 // DRAM channel loop, the cache tag store and the fsim per-reference
-// throughput, the tsim end-to-end throughput, serial and
-// domain-sharded, and one full verification-harness run (check.Run at
-// 2 k references on one goroutine) — and emits one
-// machine-readable JSON artifact. BENCH_5.json in the repo root records the
-// PR 5 engine-rewrite numbers, BENCH_7.json the PR 7 telemetry numbers,
-// BENCH_8.json the PR 8 domain-scaling numbers and BENCH_10.json the
-// topology-cut co-run numbers; CI regenerates the artifact on every push
-// and uploads it for trend inspection.
+// throughput, the tsim end-to-end throughput (single workload and the
+// 4-core co-run), and one full verification-harness run (check.Run at
+// 2 k references on one goroutine) — and emits one machine-readable JSON
+// artifact. The BENCH_*.json files in the repo root record earlier runs
+// (BENCH_16.json is the newest); CI regenerates the artifact on every
+// push and uploads it for trend inspection.
 //
 // Each run also diffs itself against the newest committed BENCH_*.json
 // (override with -baseline): the artifact's "deltas" list carries the
@@ -46,12 +44,19 @@ var suites = []struct {
 	pkg     string
 	pattern string
 }{
-	{"./internal/sim", "^(BenchmarkEngineTickPrebound|BenchmarkEngineTickClosure|BenchmarkEngineMixedQueue|BenchmarkLegacyEngineTick|BenchmarkLegacyEngineMixedQueue|BenchmarkShardRoundTrip)$"},
+	{"./internal/sim", "^(BenchmarkEngineTickPrebound|BenchmarkEngineTickClosure|BenchmarkEngineMixedQueue|BenchmarkLegacyEngineTick|BenchmarkLegacyEngineMixedQueue)$"},
 	{"./internal/metrics", "^(BenchmarkHistObserve|BenchmarkHistMerge|BenchmarkHistQuantile|BenchmarkFlightRecord)$"},
 	{"./internal/stats", "^BenchmarkFlightRecordSet$"},
 	{"./internal/workload", "^(BenchmarkGraphBuild|BenchmarkGraphBuildSerial)$"},
 	{"./internal/check", "^BenchmarkCheckRun$"},
-	{".", "^(BenchmarkEventEngine|BenchmarkDRAMRandomReads|BenchmarkCacheLookupInsert|BenchmarkFunctionalSimThroughput|BenchmarkTimingSimThroughput|BenchmarkTimingSimSharded|BenchmarkTimingSimCoRun)$"},
+	{".", "^(BenchmarkEventEngine|BenchmarkDRAMRandomReads|BenchmarkCacheLookupInsert|BenchmarkFunctionalSimThroughput|BenchmarkTimingSimThroughput|BenchmarkTimingSimCoRun)$"},
+}
+
+// workerAllocs names benchmarks whose allocations grow with the worker
+// goroutines GOMAXPROCS allows. Their allocs/op only gate between
+// artifacts recorded at the same CPU count.
+var workerAllocs = map[string]string{
+	"GraphBuild": "the RMAT build starts one worker goroutine per 64 k edges, up to GOMAXPROCS",
 }
 
 type benchResult struct {
@@ -68,10 +73,9 @@ type artifact struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
-	// CPUs is runtime.NumCPU at measurement time. The domain-sharding
-	// ratios are only comparable between artifacts recorded at the same
-	// CPU count: at NumCPU=1 the barrier rounds cannot overlap, so the
-	// sharded numbers price pure engine overhead.
+	// CPUs is runtime.NumCPU at measurement time. Wall-clock numbers are
+	// only comparable between artifacts recorded at the same CPU count
+	// (the graph build and check.Run use every CPU they are given).
 	CPUs       int           `json:"cpus"`
 	Count      int           `json:"count"`
 	Benchmarks []benchResult `json:"benchmarks"`
@@ -184,11 +188,16 @@ func diffBaseline(art *artifact, path string, tol float64) ([]string, error) {
 	art.Baseline = path
 	art.Deltas = computeDeltas(base.Benchmarks, art.Benchmarks, tol)
 	var regressed []string
-	if tol > 0 {
-		for _, d := range art.Deltas {
-			if d.AllocRegressed {
-				regressed = append(regressed, d.Name)
-			}
+	for i, d := range art.Deltas {
+		if !d.AllocRegressed {
+			continue
+		}
+		if base.CPUs != art.CPUs && workerAllocs[d.Name] != "" {
+			art.Deltas[i].AllocRegressed = false
+			continue
+		}
+		if tol > 0 {
+			regressed = append(regressed, d.Name)
 		}
 	}
 	return regressed, nil
@@ -347,25 +356,5 @@ func derive(art *artifact) {
 	}
 	if legacy, mixed := mean("LegacyEngineMixedQueue"), mean("EngineMixedQueue"); legacy > 0 && mixed > 0 {
 		art.Derived["engine_mixed_speedup_vs_container_heap"] = legacy / mixed
-	}
-	// Domain scaling: sharded tsim throughput relative to the serial engine
-	// on the identical 4-channel scenario (results are byte-identical, so
-	// the ratio prices the engine alone).
-	serial := mean("TimingSimSharded/serial")
-	for _, d := range []string{"1", "2", "4"} {
-		if sharded := mean("TimingSimSharded/domains=" + d); serial > 0 && sharded > 0 {
-			art.Derived["tsim_"+d+"dom_speedup_vs_serial"] = serial / sharded
-		}
-	}
-	// Topology cut on the 4-core co-run: slice-group domains alone, and the
-	// widest cut with per-core L2 domains on top. Like the rows above, the
-	// ratio only shows parallel speedup when the host grants multiple CPUs.
-	if corun := mean("TimingSimCoRun/serial"); corun > 0 {
-		if sliced := mean("TimingSimCoRun/domains=4"); sliced > 0 {
-			art.Derived["tsim_corun_4dom_speedup_vs_serial"] = corun / sliced
-		}
-		if widest := mean("TimingSimCoRun/domains=8+cores"); widest > 0 {
-			art.Derived["tsim_corun_8dom_cores_speedup_vs_serial"] = corun / widest
-		}
 	}
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -82,5 +84,43 @@ func TestComputeDeltas(t *testing.T) {
 	// 5% growth sits inside the 10% tolerance.
 	if byName["Tolerated"].AllocRegressed {
 		t.Fatal("5% allocation growth flagged despite 10% tolerance")
+	}
+}
+
+// TestDiffBaselineWorkerAllocs pins that a worker-parallel benchmark's
+// allocations gate only against a baseline recorded at the same CPU
+// count: the RMAT build allocates per worker goroutine, so more CPUs
+// legitimately mean more allocations. Other benchmarks gate at any count.
+func TestDiffBaselineWorkerAllocs(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "BENCH_1.json")
+	buf, err := json.Marshal(artifact{CPUs: 2, Benchmarks: []benchResult{
+		{Name: "GraphBuild", NsPerOp: 1, AllocsPerOp: 13},
+		{Name: "TimingSimThroughput", NsPerOp: 1, AllocsPerOp: 0},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(base, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		cpus, simAllocs int
+		want            string
+	}{
+		{4, 0, ""},
+		{4, 1, "TimingSimThroughput"},
+		{2, 0, "GraphBuild"},
+	} {
+		art := artifact{CPUs: c.cpus, Benchmarks: []benchResult{
+			{Name: "GraphBuild", NsPerOp: 1, AllocsPerOp: 18},
+			{Name: "TimingSimThroughput", NsPerOp: 1, AllocsPerOp: int64(c.simAllocs)},
+		}}
+		regressed, err := diffBaseline(&art, base, 0.10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(regressed, ","); got != c.want {
+			t.Errorf("%d CPUs, %d sim allocs: regressed %q, want %q", c.cpus, c.simAllocs, got, c.want)
+		}
 	}
 }

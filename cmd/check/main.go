@@ -1,14 +1,14 @@
 // Command check runs the verification harness (internal/check): differential
-// fsim-vs-tsim/secmem comparisons, metamorphic configuration properties,
-// invariant-instrumented simulation runs and serial-vs-sharded engine parity
-// runs. It prints one line per check and exits non-zero if any fail.
+// fsim-vs-tsim/secmem comparisons, metamorphic configuration properties and
+// invariant-instrumented simulation runs. It prints one line per check and
+// exits non-zero if any fail.
 //
-// The units of all four pillars fan out across -parallel goroutines
+// The units of all three pillars fan out across -parallel goroutines
 // (default: GOMAXPROCS). They share one recorded trace and a memo that
-// simulates each distinct serial replay of it once for every unit that
-// needs it; invariant-recorded, traced and sharded runs stay private to
-// their unit. Parallelism changes only the wall-clock time, never the
-// report.
+// simulates each distinct replay of it once for every unit that needs it;
+// invariant-recorded and traced runs stay private to their unit.
+// Parallelism changes only the wall-clock time, never the report. -quick
+// records a trace of half the reference budget and replays all of it.
 //
 // Usage:
 //

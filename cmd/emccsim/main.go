@@ -39,8 +39,6 @@ func main() {
 		chans    = flag.Int("channels", 0, "override DRAM channel count (0 = Table I)")
 		aesFrac  = flag.Float64("aes-frac", -1, "override fraction of AES units moved to L2 (EMCC)")
 		l2ctrKB  = flag.Int64("l2ctr-kb", 0, "override EMCC L2 counter cap KiB (0 = default 32)")
-		domains  = flag.Int("domains", 0, "shard the timing engine into N slice-group event domains (0 = serial; results identical)")
-		shCores  = flag.Bool("shard-cores", false, "with -domains: one event domain per core+L2 tile")
 		xpt      = flag.Bool("xpt", false, "enable XPT LLC-miss prediction")
 		pfDeg    = flag.Int("prefetch", 0, "L2 stride-prefetch degree (0 = off)")
 		dynOff   = flag.Bool("dynamic-off", false, "enable the Sec. IV-F intensity monitor (EMCC)")
@@ -77,8 +75,6 @@ func main() {
 	if *l2ctrKB > 0 {
 		cfg.EMCCL2CounterBytes = *l2ctrKB << 10
 	}
-	cfg.Domains = *domains
-	cfg.ShardCores = *shCores
 	cfg.XPT = *xpt
 	cfg.PrefetchL2Degree = *pfDeg
 	cfg.EMCCDynamicOff = *dynOff

@@ -57,19 +57,17 @@ func main() {
 	if err := config.ApplySystem(&cfg, *system); err != nil {
 		fatal(err)
 	}
-	// Declare the instrumentation this command attaches, so an
-	// incompatible engine selection (Domains > 0) fails config
-	// validation in New instead of erroring at attach time.
-	cfg.Tracing = true
-	cfg.FlightRecorder = *flight != ""
 	scale := workload.DefaultScale()
 	if *small {
 		scale = workload.TestScale()
 	}
 
 	// The scenario is the canonical run description; its key names the
-	// simulation this trace came from, so a trace can be matched to the
-	// figure/report runs (and cache entries) built from the same scenario.
+	// simulation this trace came from. Tracing attaches to the built
+	// simulator and never enters the config, so config-hash and scenario
+	// equal what cmd/emccsim prints for the same flags, and a trace can be
+	// matched to the figure/report runs (and cache entries) built from the
+	// same scenario.
 	sc := run.Scenario{
 		Mode: run.Timing, Benchmark: *bench, Config: cfg,
 		Seed: *seed, Refs: *refs, Warmup: *warm, Cores: *cores, Scale: scale,
@@ -107,15 +105,11 @@ func main() {
 		SamplePeriod: sim.NS(*periodNS),
 		Meta:         prov.Masked(manifest),
 	})
-	if err := s.SetTracer(tr); err != nil {
-		fatal(err)
-	}
+	s.SetTracer(tr)
 	var rec *metrics.Recorder
 	if *flight != "" {
 		rec = metrics.NewRecorder(s.Stats(), *flightCap)
-		if err := s.SetFlightRecorder(rec, sim.NS(*flightPeriodNS)); err != nil {
-			fatal(err)
-		}
+		s.SetFlightRecorder(rec, sim.NS(*flightPeriodNS))
 	}
 	res := s.Run()
 	if err := tr.Close(); err != nil {

@@ -14,9 +14,8 @@ import (
 // from the pinned 0-alloc hot paths. The hot set is:
 //
 //   - every prebound event callback: a function value registered through
-//     Engine/Domain AtCall/AfterCall/AtCallLate or delivered over
-//     Link.Send/SendLate (including registrations through interfaces a
-//     scheduler satisfies, like dram's sched seam);
+//     Engine AtCall/AfterCall/AtCallLate (including registrations through
+//     an interface the Engine satisfies);
 //   - every bindHot method (the warm-Reset rebinding path measured inside
 //     the AllocsPerRun loops);
 //   - the pinned hotRootPins symbols (metrics.Hist.Observe).
@@ -298,24 +297,33 @@ func isHotReg(g *CallGraph, via *types.Func) bool {
 }
 
 // isEventReg reports whether fn is a prebound-callback scheduling method:
-// the fn(any)+arg forms on Engine/Domain, or a Link send. The closure
-// forms (At/After/Every) are setup-time conveniences, not per-event
-// paths, and are deliberately not hot roots.
+// the fn(any)+arg forms on the Engine. The closure forms (At/After/Every)
+// are setup-time conveniences, not per-event paths, and are deliberately
+// not hot roots.
 func isEventReg(fn *types.Func) bool {
-	if fn == nil || fn.Pkg() == nil || !pathIs(fn.Pkg().Path(), "internal/sim") {
+	if fn == nil || fn.Pkg() == nil || !pathIs(fn.Pkg().Path(), "internal/sim") || receiverName(fn) != "Engine" {
 		return false
 	}
-	switch receiverName(fn) {
-	case "Engine", "Domain":
-		switch fn.Name() {
-		case "AtCall", "AfterCall", "AtCallLate":
-			return true
-		}
-	case "Link":
-		switch fn.Name() {
-		case "Send", "SendLate":
-			return true
-		}
+	switch fn.Name() {
+	case "AtCall", "AfterCall", "AtCallLate":
+		return true
 	}
 	return false
+}
+
+// receiverName returns the named type of fn's receiver ("" for plain
+// functions and interface methods).
+func receiverName(fn *types.Func) string {
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
 }

@@ -92,7 +92,7 @@ func allPasses() []pass {
 
 // interprocedural passes, run once after the per-package passes.
 func allModulePasses() []modulePass {
-	return []modulePass{invgate{}, shardsafe{}, allocpin{}}
+	return []modulePass{invgate{}, allocpin{}}
 }
 
 // Passes lists the pass names the driver runs, in order.
@@ -131,7 +131,7 @@ type context struct {
 	dynamicKey map[string]map[int]bool
 
 	// graph is the whole-module call graph shared by the interprocedural
-	// passes (invgate, shardsafe, allocpin).
+	// passes (invgate, allocpin).
 	graph *CallGraph
 	// escapes is the compiler's escape-analysis fact set (allocpin).
 	escapes *escapeSet
@@ -253,7 +253,10 @@ func Run(root string, patterns ...string) (*Result, error) {
 		if a.Line != b.Line {
 			return a.Line < b.Line
 		}
-		return a.Pass < b.Pass
+		if a.Pass != b.Pass {
+			return a.Pass < b.Pass
+		}
+		return a.Msg < b.Msg
 	})
 	res := &Result{Findings: ctx.findings, KeyIndex: ctx.keyIndex}
 	for k := range ctx.registry {

@@ -12,8 +12,8 @@ import (
 // This file builds the shared interprocedural layer: a whole-module call
 // graph over the loaded, type-checked packages. The graph is deliberately
 // conservative (it over-approximates "may call") so the passes built on it
-// — the interprocedural invgate, shardsafe reachability, allocpin's hot-set
-// join — can treat absence of a path as proof.
+// — the interprocedural invgate and allocpin's hot-set join — can treat
+// absence of a path as proof.
 //
 // Nodes are declared functions and methods (*types.Func) plus function
 // literals (each FuncLit is its own node: a literal registered as an event
@@ -22,8 +22,8 @@ import (
 //   - static: a direct call of a module function or method.
 //   - interface: a call through an interface method; edges go to every
 //     module method that could satisfy the dispatch (method-set match over
-//     all named module types — the dram.sched seam resolves to both
-//     (*sim.Engine).AtCallLate and (*sim.Domain).AtCallLate this way).
+//     all named module types — a local scheduler interface resolves to
+//     (*sim.Engine).AtCall this way).
 //   - indirect: a call of a function-typed value; edges go to every
 //     address-taken module function with an identical signature (this is
 //     how `ev.call(ev.arg)` in the engine reaches the prebound callbacks,

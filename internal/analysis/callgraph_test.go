@@ -36,45 +36,54 @@ func fixtureGraph(t *testing.T) *CallGraph {
 }
 
 // TestCallGraphCallbackEdge pins the prebound-callback edge shape: a
-// function passed to Domain.AtCall gets an EdgeCallback In edge from the
+// function passed to Engine.AtCall gets an EdgeCallback In edge from the
 // registering function, with Via naming the registration method.
 func TestCallGraphCallbackEdge(t *testing.T) {
 	g := fixtureGraph(t)
-	n := g.NodeByName("shardbad.tickCB")
+	n := g.NodeByName("allocbad.reqCB")
 	if n == nil {
-		t.Fatal("no node shardbad.tickCB")
+		t.Fatal("no node allocbad.reqCB")
 	}
 	found := false
 	for _, e := range n.In {
-		if e.Kind != EdgeCallback || e.Caller == nil || e.Caller.Name != "shardbad.Setup" || e.Via == nil {
+		if e.Kind != EdgeCallback || e.Caller == nil || e.Caller.Name != "allocbad.Setup" || e.Via == nil {
 			continue
 		}
-		if g.nodeName(e.Via) == "(internal/sim.Domain).AtCall" {
+		if g.nodeName(e.Via) == "(internal/sim.Engine).AtCall" {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("no EdgeCallback from shardbad.Setup into shardbad.tickCB via (internal/sim.Domain).AtCall")
+		t.Error("no EdgeCallback from allocbad.Setup into allocbad.reqCB via (internal/sim.Engine).AtCall")
 	}
 }
 
 // TestCallGraphInterfaceDispatch pins method-set dispatch through the
-// registration seam: bootCB is registered only via the local sched
-// interface, which a *sim.Domain satisfies, so shardRoots must include
-// it; the pinned hub-only dramFinishCB rides a Link but must be
-// excluded.
+// registration seam: seamCB is registered only via the local sched
+// interface, which a *sim.Engine satisfies, so it must be a hot root
+// exactly as if it were registered on the Engine directly.
 func TestCallGraphInterfaceDispatch(t *testing.T) {
 	g := fixtureGraph(t)
-	roots := map[string]bool{}
-	for _, r := range shardRoots(g) {
-		roots[r.Name] = true
+	n := g.NodeByName("allocbad.seamCB")
+	if n == nil {
+		t.Fatal("no node allocbad.seamCB")
 	}
-	if !roots["shardbad.bootCB"] {
-		t.Errorf("shardRoots misses shardbad.bootCB (interface-seam registration); got %v", roots)
+	via := false
+	for _, e := range n.In {
+		if e.Kind == EdgeCallback && e.Caller != nil && e.Caller.Name == "allocbad.SetupSeam" &&
+			e.Via != nil && isInterfaceMethod(e.Via) {
+			via = true
+		}
 	}
-	if roots["internal/dram.dramFinishCB"] {
-		t.Error("shardRoots includes the pinned hub-only internal/dram.dramFinishCB")
+	if !via {
+		t.Error("allocbad.seamCB has no callback edge from allocbad.SetupSeam through the sched interface")
 	}
+	for _, r := range hotRoots(g) {
+		if r == n {
+			return
+		}
+	}
+	t.Error("hotRoots misses allocbad.seamCB (interface-seam registration)")
 }
 
 // TestCallGraphCycleTermination pins termination on mutual recursion:

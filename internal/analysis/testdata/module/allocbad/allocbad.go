@@ -73,3 +73,21 @@ func statCB(x any) {
 	v := int64(1)
 	last = &v
 }
+
+// sched is a local scheduling seam that *sim.Engine satisfies.
+// Registering through it must root the callback exactly like
+// registering on the Engine directly.
+type sched interface {
+	AtCall(t sim.Time, fn func(any), arg any)
+}
+
+// SetupSeam registers seamCB through the interface, not the Engine.
+func SetupSeam(s sched) {
+	s.AtCall(0, seamCB, nil)
+}
+
+// seamCB allocates per event; only the interface registration reaches
+// it.
+func seamCB(x any) {
+	sink = &payload{}
+}

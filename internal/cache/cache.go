@@ -46,8 +46,7 @@ type Victim struct {
 // call needs a way's kind, dirty or used bit.
 //
 // Not safe for concurrent use. Runs execute concurrently under -j, but
-// each cache belongs to one run (and one domain of a sharded run) and is
-// driven from one goroutine.
+// each cache belongs to one run and is driven from one goroutine.
 type Cache struct {
 	name string
 	sets uint64

@@ -13,17 +13,13 @@
 //     lose its own analytic timelines);
 //   - invariant runs execute both simulators with internal/inv enabled and
 //     require zero recorded violations plus post-run conservation between
-//     requested and performed DRAM fills;
-//   - shard-parity runs replay one trace on the serial event engine and on
-//     the domain-sharded engine (sim.Shard) across the differential config
-//     grid and require byte-identical stats snapshots at any domain and
-//     worker count.
+//     requested and performed DRAM fills.
 //
 // Run records one trace and runs every pillar's checks over it as
 // independent units. The units share a per-Run memo (simMemo) that
-// simulates each distinct serial tsim replay of the trace once and hands
-// the result to every unit that asks for that config, so a config several
-// pillars need costs one run. Runs that carry a recorder, tracer or their
+// simulates each distinct tsim replay of the trace once and hands the
+// result to every unit that asks for that config, so a config several
+// checks need costs one run. Runs that carry a recorder, tracer or their
 // own input are never shared; each unit builds and owns those outright.
 //
 // cmd/check runs everything and prints a report; `go test ./internal/check`
@@ -43,12 +39,11 @@ import (
 // Pillar labels which verification family a result belongs to.
 type Pillar string
 
-// The four pillars.
+// The three pillars.
 const (
 	PillarDifferential Pillar = "differential"
 	PillarMetamorphic  Pillar = "metamorphic"
 	PillarInvariant    Pillar = "invariant"
-	PillarShardParity  Pillar = "shard-parity"
 )
 
 // Result is one named check's outcome.
@@ -82,13 +77,15 @@ type Options struct {
 	Quick bool
 	// Parallel is the number of check units Run executes concurrently
 	// (0 or 1 = serial). Units share only the recorded trace and Run's
-	// memo of serial replays, which computes each entry once and then
-	// only hands it out to be read, so parallelism never changes any
-	// result — only the wall-clock time.
+	// memo of replays, which computes each entry once and then only
+	// hands it out to be read, so parallelism never changes any result —
+	// only the wall-clock time.
 	Parallel int
 }
 
-// withDefaults fills unset fields.
+// withDefaults fills unset fields and applies Quick. It is idempotent:
+// the halving clears Quick, so options defaulted once — by Run, then again
+// by the checks they are handed — keep the budget that was recorded.
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 12
@@ -104,20 +101,20 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Quick {
 		o.Refs /= 2
+		o.Quick = false
 	}
 	return o
 }
 
 // Run executes every pillar and returns all results. The units —
-// differential, metamorphic, invariant and shard-parity alike — fan out
-// across opt.Parallel goroutines over one read-only recorded trace. They
-// share one thing besides it: a per-Run simMemo that simulates each
-// distinct serial replay of that trace once and hands the same read-only
-// result to every unit that asks for it. Everything else a unit runs —
-// invariant-recorded, traced and sharded runs among them — it builds and
-// owns outright. Results land in fixed slots, so the report order — and
-// with deterministic simulators, every byte of it — is identical at any
-// parallelism.
+// differential, metamorphic and invariant alike — fan out across
+// opt.Parallel goroutines over one read-only recorded trace. They share
+// one thing besides it: a per-Run simMemo that simulates each distinct
+// replay of that trace once and hands the same read-only result to every
+// unit that asks for it. Everything else a unit runs — invariant-recorded
+// and traced runs among them — it builds and owns outright. Results land
+// in fixed slots, so the report order — and with deterministic simulators,
+// every byte of it — is identical at any parallelism.
 func Run(opt Options) []Result {
 	rs, _ := run(opt)
 	return rs
@@ -133,7 +130,6 @@ func run(opt Options) ([]Result, *simMemo) {
 	}
 	units := append(diffUnits(m), metamorphicUnits(m)...)
 	units = append(units, invariantUnits(m.tr, opt)...)
-	units = append(units, shardParityUnits(m)...)
 	slots := make([][]Result, len(units))
 	workers := opt.Parallel
 	if workers < 1 {

@@ -104,32 +104,6 @@ func TestInvariantDetectsBrokenConfig(t *testing.T) {
 	}
 }
 
-// TestShardParityPasses runs the serial-vs-sharded engine comparison over
-// the full system grid and requires byte-identical snapshots everywhere.
-func TestShardParityPasses(t *testing.T) {
-	requireAllPass(t, ShardParity(quickOpt))
-}
-
-// TestShardParityDetectsDivergence proves the pillar can fail: a sharded
-// run under a genuinely different DRAM timing cannot produce the serial
-// run's snapshot, and the byte comparison must say so.
-func TestShardParityDetectsDivergence(t *testing.T) {
-	opt := quickOpt.withDefaults()
-	tr, err := recordTrace(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := config.Default()
-	serial.Channels = 4
-	broken := serial
-	broken.Domains = 4
-	broken.TCL *= 2
-	rs := CompareShardRun("broken-tcl", &serial, &broken, tr, opt)
-	if failedNamed(rs, "broken-tcl") == 0 {
-		t.Fatalf("sharded run with doubled tCL not detected:\n%s", render(rs))
-	}
-}
-
 // TestConservationDetectsImbalance proves the conservation assertion fails
 // on unequal pairs.
 func TestConservationDetectsImbalance(t *testing.T) {
@@ -146,13 +120,34 @@ func TestRunAggregates(t *testing.T) {
 	for _, r := range rs {
 		pillars[r.Pillar] = true
 	}
-	for _, p := range []Pillar{PillarDifferential, PillarMetamorphic, PillarInvariant, PillarShardParity} {
+	for _, p := range []Pillar{PillarDifferential, PillarMetamorphic, PillarInvariant} {
 		if !pillars[p] {
 			t.Fatalf("pillar %s missing from Run output", p)
 		}
 	}
 	if n := Failed(rs); n != 0 {
 		t.Fatalf("%d checks failed:\n%s", n, render(rs))
+	}
+}
+
+// TestWithDefaultsIdempotent pins that defaulting options twice — Run
+// does it, then every check it hands the options to — changes nothing, so
+// -quick halves the budget once: the trace Run records is the trace the
+// checks replay.
+func TestWithDefaultsIdempotent(t *testing.T) {
+	for _, o := range []Options{
+		{},
+		{Quick: true},
+		{Refs: 30_000},
+		{Refs: 30_000, Quick: true},
+	} {
+		once := o.withDefaults()
+		if twice := once.withDefaults(); twice != once {
+			t.Errorf("%+v: defaulted once %+v, twice %+v", o, once, twice)
+		}
+	}
+	if got := (Options{Quick: true}).withDefaults().Refs; got != 30_000 {
+		t.Errorf("-quick budget = %d refs, want half of the 60000 default", got)
 	}
 }
 

@@ -34,9 +34,7 @@ func counterFreeAcceptance(system string, opt Options) []Result {
 	if err != nil {
 		return []Result{failf(PillarDifferential, name("tsim"), "%v", err)}
 	}
-	if err := ts.SetTracer(trc); err != nil {
-		return []Result{failf(PillarDifferential, name("tsim"), "%v", err)}
-	}
+	ts.SetTracer(trc)
 	ts.Run()
 
 	fs, err := fsim.New(&cfg, fsim.Options{

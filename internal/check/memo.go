@@ -12,12 +12,11 @@ import (
 )
 
 // simMemo is one Run's shared input — the recorded trace and the options
-// its checks are handed — plus a memo that runs each distinct serial tsim
-// replay of that trace once. The differential replay, shard-parity's
-// serial reference, the AES and in-SRAM monotonicity runs, bipbip knob
-// invariance and channel-qdelay dominance all ask it for their runs by
-// config, so a config several of them need is simulated once and read by
-// all of them.
+// its checks are handed — plus a memo that runs each distinct tsim replay
+// of that trace once. The differential replay, the AES and in-SRAM
+// monotonicity runs, bipbip knob invariance and channel-qdelay dominance
+// all ask it for their runs by config, so a config several of them need
+// is simulated once and read by all of them.
 //
 // Only plain replays are shared: runs with a recorder, tracer or flight
 // recorder attached, runs with a warm-up or a synthetic workload, and
@@ -29,22 +28,20 @@ type simMemo struct {
 	err error
 	// opt are the options the memo's checks are handed.
 	opt Options
-	// refs is the budget of every replay: opt.withDefaults().Refs. The
-	// checks have always defaulted the options they are handed once more,
-	// so under Quick a replay runs half the recorded trace; the report
-	// depends on that budget, and the memo keeps it.
+	// refs is the budget of every replay: opt.withDefaults().Refs, the
+	// whole recorded trace (withDefaults is idempotent, so Quick halves
+	// the budget once, before the trace is recorded).
 	refs int64
 
 	mu   sync.Mutex
 	runs map[config.Config]*memoRun
 
-	// sims counts serial replays actually simulated, reusedProbes the
-	// shard-parity worker probes served by a sharded run at the same
-	// effective worker count. Tests read both after the checks finish.
-	sims, reusedProbes atomic.Int64
+	// sims counts replays actually simulated; tests read it after the
+	// checks finish.
+	sims atomic.Int64
 }
 
-// memoRun is one memoized serial replay. It is written once, under its
+// memoRun is one memoized replay. It is written once, under its
 // sync.Once, and only read afterwards, so any number of checks may read
 // it concurrently.
 type memoRun struct {
@@ -70,7 +67,7 @@ func recordMemo(opt Options) *simMemo {
 	return m
 }
 
-// replay returns the serial replay of the trace under cfg. The first
+// replay returns the replay of the trace under cfg. The first
 // request simulates it; every later one, concurrent or not, waits for that
 // run and shares its result.
 func (m *simMemo) replay(cfg config.Config) (*memoRun, error) {

@@ -2,7 +2,6 @@ package check
 
 import (
 	"bytes"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -10,7 +9,7 @@ import (
 )
 
 // TestRunMatchesStandalonePillars pins the memo's contract from outside:
-// Run, which shares one memo across all four pillars, must report exactly
+// Run, which shares one memo across all three pillars, must report exactly
 // what the pillars report when each runs on its own with a memo of its
 // own — at any parallelism.
 func TestRunMatchesStandalonePillars(t *testing.T) {
@@ -19,7 +18,6 @@ func TestRunMatchesStandalonePillars(t *testing.T) {
 	want = append(want, Differential(opt)...)
 	want = append(want, Metamorphic(opt)...)
 	want = append(want, Invariants(opt)...)
-	want = append(want, ShardParity(opt)...)
 	for _, parallel := range []int{1, 4} {
 		opt.Parallel = parallel
 		got := Run(opt)
@@ -89,14 +87,10 @@ func TestSimMemoConcurrent(t *testing.T) {
 }
 
 // TestRunSimulatesEachConfigOnce counts the simulations one default Run
-// makes. The serial replays the pillars request overlap — the default
-// morphable config alone is requested by the differential replay,
-// shard-parity's 1-channel reference, AES monotonicity (14 ns is the
-// default) and qdelay dominance — and each must run once. At GOMAXPROCS 2
-// the default sharded run of every 4ch-8dom-cores cell uses 2 workers, so
-// that cell's workers-2 probe must reuse it instead of running again.
+// makes. The replays the checks request overlap — the default morphable
+// config alone is requested by the differential replay, AES monotonicity
+// (14 ns is the default) and qdelay dominance — and each must run once.
 func TestRunSimulatesEachConfigOnce(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	rs, m := run(Options{Refs: 2_000, Parallel: 2})
 	if n := Failed(rs); n != 0 {
 		t.Fatalf("%d checks failed:\n%s", n, render(rs))
@@ -108,15 +102,12 @@ func TestRunSimulatesEachConfigOnce(t *testing.T) {
 	if n := m.sims.Load(); n != int64(len(m.runs)) {
 		t.Fatalf("%d simulations for %d distinct configs", n, len(m.runs))
 	}
-	// 5 differential replays, 25 shard-parity serial references, 3 AES,
-	// 3 in-SRAM, 4 bipbip and 2 dominance runs, over 17 distinct configs.
-	if requests != 42 || len(m.runs) != 17 {
-		t.Errorf("%d replay requests over %d configs, want 42 over 17", requests, len(m.runs))
+	// 5 differential replays, 3 AES, 3 in-SRAM, 4 bipbip and 2 dominance
+	// runs, over 13 distinct configs.
+	if requests != 17 || len(m.runs) != 13 {
+		t.Errorf("%d replay requests over %d configs, want 17 over 13", requests, len(m.runs))
 	}
-	if r := m.runs[config.Default()]; r == nil || r.requests != 4 {
-		t.Errorf("default config not requested 4 times: %+v", r)
-	}
-	if n := m.reusedProbes.Load(); n != int64(len(diffSystems)) {
-		t.Errorf("%d worker probes reused, want %d (the workers-2 probe of each system)", n, len(diffSystems))
+	if r := m.runs[config.Default()]; r == nil || r.requests != 3 {
+		t.Errorf("default config not requested 3 times: %+v", r)
 	}
 }

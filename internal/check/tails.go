@@ -36,9 +36,7 @@ func ExposedDecryptTail(opt Options) Result {
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		if err := ts.SetTracer(trc); err != nil {
-			return 0, 0, 0, err
-		}
+		ts.SetTracer(trc)
 		ts.Run()
 		h := obsSt.Hist(stats.ObsExposedDecryptHist)
 		return h.Quantile(0.99), h.Mean(), h.Count(), nil

@@ -75,20 +75,6 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.Counter = CtrInSRAM; c.CountersInLLC = false; c.EMCC = true },
 		func(c *Config) { c.Counter = CtrInSRAM; c.CountersInLLC = false; c.InSRAMBanks = 0 },
 		func(c *Config) { c.Counter = CtrBipBip; c.CountersInLLC = false; c.BipBipLatency = -sim.NS(1) },
-		// Tracing and the flight recorder are serial-engine only.
-		func(c *Config) { c.Domains = 2; c.Tracing = true },
-		func(c *Config) { c.Domains = 2; c.FlightRecorder = true },
-		// The sharded engine needs positive lookahead inputs...
-		func(c *Config) { c.Domains = 2; c.BurstLatency = 0 },
-		func(c *Config) { c.Domains = 2; c.BurstLatency = -sim.NS(1) },
-		func(c *Config) { c.Domains = 2; c.NoCBaseOneWay = 0 },
-		// ...a cut no wider than the mesh's slice count (28 on the
-		// default 6x5 mesh with two MC tiles)...
-		func(c *Config) { c.Domains = 29 },
-		// ...core domains only on top of slice domains, and no XPT (the
-		// idealised predictor peeks across the cut).
-		func(c *Config) { c.ShardCores = true },
-		func(c *Config) { c.Domains = 2; c.XPT = true },
 		// Every cache must be a whole number of sets of 64 B blocks:
 		// positive ways, and a size that is a positive multiple of 64 B x
 		// ways (1 KB over 32 ways is 16 blocks, half a set).

@@ -14,16 +14,8 @@ import (
 // issue at a fixed rate (the pool's aggregate bandwidth) and each op
 // completes a fixed latency after it issues (Sec. V: 14 ns latency,
 // 2.6 G ops/s peak for the whole processor; EMCC moves a fraction to L2s).
-// Clock is the scheduling context a pool reads time from: the serial
-// *sim.Engine or, under the sharded engine, the *sim.Domain whose tile the
-// pool lives on (EMCC's L2 pools are clocked by their core domains).
-type Clock interface {
-	Now() sim.Time
-	Recorder() *inv.Recorder
-}
-
 type AESPool struct {
-	eng      Clock
+	eng      *sim.Engine
 	rec      *inv.Recorder
 	interval sim.Time // time between op issues = 1/bandwidth
 	latency  sim.Time
@@ -38,7 +30,7 @@ type AESPool struct {
 }
 
 // NewAESPool builds a pool with the given ops/second bandwidth.
-func NewAESPool(eng Clock, opsPerSec float64, latency sim.Time) *AESPool {
+func NewAESPool(eng *sim.Engine, opsPerSec float64, latency sim.Time) *AESPool {
 	if opsPerSec <= 0 {
 		panic("mc: AES pool bandwidth must be positive")
 	}

@@ -101,17 +101,13 @@ func (s *Scenario) NewFunctional() (*fsim.Sim, error) {
 
 // NewTiming builds (but does not run) the scenario's timing simulator
 // instance, for callers that need to attach instrumentation (cmd/trace)
-// before running.
+// before running. It simulates exactly the configuration the scenario's
+// key names.
 func (s *Scenario) NewTiming() (*tsim.Sim, error) {
 	if s.Mode != Timing {
 		return nil, fmt.Errorf("run: NewTiming on %s scenario", s.Mode)
 	}
 	cfg := s.Config
-	if s.Trace {
-		// Declare the tracer Execute will attach, so a Domains > 0
-		// scenario fails config validation here rather than at attach.
-		cfg.Tracing = true
-	}
 	return tsim.New(&cfg, tsim.Options{
 		Benchmark: s.Benchmark, Seed: s.Seed, Refs: s.Refs, Warmup: s.Warmup,
 		Cores: s.Cores, Scale: s.Scale,
@@ -138,9 +134,7 @@ func (s *Scenario) Execute() (*Outcome, error) {
 		if s.Trace {
 			// Sink the tracer into the run's own stats set so the outcome
 			// snapshot carries the obs histograms alongside everything else.
-			if err := ts.SetTracer(obs.New(obs.Options{Stats: ts.Stats()})); err != nil {
-				return nil, err
-			}
+			ts.SetTracer(obs.New(obs.Options{Stats: ts.Stats()}))
 		}
 		res := ts.Run()
 		return &Outcome{Stats: ts.Stats().Snapshot(), Timing: &res}, nil

@@ -21,15 +21,13 @@ package sim
 // form (AtCall/AfterCall) — with a package-level (or otherwise prebound)
 // func and a pointer-typed arg, scheduling allocates nothing.
 //
-// pri and key exist for the sharded engine's equivalence guarantee.
-// Ordinary events carry pri 0 / key 0 and order exactly as before — by
-// (at, seq). Late-class events (pri 1, scheduled with AtCallLate) sort
-// after every ordinary event at the same timestamp, ordered among
-// themselves by an explicit caller-chosen key instead of scheduling
-// history. Cross-domain effects use the late class in both the serial
-// and the sharded engine, which makes their position in the global order
-// a pure function of (time, key) — the property that lets a barrier-
-// synchronized run reproduce the serial run byte-for-byte.
+// pri and key form the late class. Ordinary events carry pri 0 / key 0
+// and order exactly as before — by (at, seq). Late-class events (pri 1,
+// scheduled with AtCallLate) sort after every ordinary event at the same
+// timestamp, ordered among themselves by an explicit caller-chosen key
+// instead of scheduling history. The DRAM model and tsim's entity seams
+// schedule in the late class, so the order of their same-timestamp ties
+// — and with it every golden — is a pure function of (time, key).
 type event struct {
 	at   Time
 	seq  uint64 // tie-break so equal-time events run in schedule order

@@ -111,9 +111,9 @@ func (e *Engine) AtCall(t Time, fn func(any), arg any) {
 // runs after every ordinary event with the same timestamp, ordered among
 // same-time late events by key (then schedule order). Component seams
 // that must see a timestamp's complete state — the DRAM scheduler pass,
-// cross-domain completions — use this in both the serial and sharded
-// engines, so their global position depends only on (t, key), not on
-// when they happened to be scheduled. Scheduling in the past panics.
+// DRAM completions, tsim's inter-entity messages — use this, so their
+// position among same-time events depends only on (t, key), not on when
+// they happened to be scheduled. Scheduling in the past panics.
 func (e *Engine) AtCallLate(t Time, key int32, fn func(any), arg any) {
 	if t < e.now {
 		panic("sim: event scheduled in the past")

@@ -59,6 +59,36 @@ func TestEqualTimestampsRunFIFO(t *testing.T) {
 	}
 }
 
+// TestLateClassOrder pins the late class the DRAM model and tsim's seams
+// rely on: at one timestamp every ordinary event runs first, then the late
+// events by key, and equal keys in schedule order — whatever order they
+// were scheduled in, and even when an ordinary event is scheduled for the
+// same instant by a late one.
+func TestLateClassOrder(t *testing.T) {
+	e := New()
+	var order []string
+	note := func(x any) { order = append(order, x.(string)) }
+	e.AtCallLate(50, 2, note, "late2")
+	e.AtCall(50, note, "ord-a")
+	e.AtCallLate(50, 1, note, "late1-a")
+	e.AtCallLate(50, 1, func(x any) {
+		note(x)
+		e.AtCall(50, note, "ord-from-late")
+	}, "late1-b")
+	e.AtCall(50, note, "ord-b")
+	e.AtCallLate(40, 9, note, "late-earlier")
+	e.Run()
+	want := []string{"late-earlier", "ord-a", "ord-b", "late1-a", "late1-b", "ord-from-late", "late2"}
+	if len(order) != len(want) {
+		t.Fatalf("ran %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("ran %v, want %v", order, want)
+		}
+	}
+}
+
 func TestEventsCanScheduleMoreEvents(t *testing.T) {
 	e := New()
 	count := 0

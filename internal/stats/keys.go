@@ -101,9 +101,7 @@ const (
 	TsimDRAMQueueFullRetry     = "tsim/dram-queue-full-retry"
 
 	// Latency accumulators observe integer picoseconds (sim.Time values
-	// verbatim): integer sums are exact and order-insensitive, which is
-	// what lets the sharded engine merge per-domain stat shards in any
-	// canonical order and still match the serial engine byte for byte.
+	// verbatim), so their float64 sums stay exact integers.
 	TsimCryptoExposureL2PS  = "tsim/crypto-exposure-l2-ps"
 	TsimCryptoExposureMCPS  = "tsim/crypto-exposure-mc-ps"
 	TsimL2ReadMissLatencyPS = "tsim/l2-read-miss-latency-ps"

@@ -126,31 +126,6 @@ func (s *Set) Hist(name string) *metrics.Hist {
 	return &metrics.Hist{}
 }
 
-// Merge folds every metric of o into s: counters add, accumulators and
-// histograms combine. Cells left at zero by eager ref binding are
-// skipped, so merging never materialises metrics o did not record. Each
-// key folds into its own independent cell, so map iteration order cannot
-// affect the result; callers merging several sets fix determinism by
-// fixing the order of the Merge calls (the sharded DRAM folds its
-// per-channel shards in channel order).
-func (s *Set) Merge(o *Set) {
-	for k, c := range o.counters {
-		if *c != 0 {
-			*s.CounterRef(k) += *c
-		}
-	}
-	for k, a := range o.accums {
-		if a.Count != 0 {
-			s.AccumRef(k).Merge(a)
-		}
-	}
-	for k, h := range o.hists {
-		if h.Count() != 0 {
-			s.HistRef(k).Merge(h)
-		}
-	}
-}
-
 // Names reports every metric name present, sorted, for debug dumps.
 // Ref-bound cells that never recorded anything are omitted, matching
 // Snapshot.
@@ -197,21 +172,6 @@ func (a *Accumulator) Observe(v float64) {
 	}
 	if v > a.Max {
 		a.Max = v
-	}
-}
-
-// Merge folds another accumulator's samples into a.
-func (a *Accumulator) Merge(o *Accumulator) {
-	if o.Count == 0 {
-		return
-	}
-	a.Count += o.Count
-	a.Sum += o.Sum
-	if o.Min < a.Min {
-		a.Min = o.Min
-	}
-	if o.Max > a.Max {
-		a.Max = o.Max
 	}
 }
 

@@ -124,9 +124,7 @@ func TestTracedWithHistogramsSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetTracer(obs.New(obs.Options{Stats: s.Stats()})); err != nil {
-		t.Fatal(err)
-	}
+	s.SetTracer(obs.New(obs.Options{Stats: s.Stats()}))
 	s.warm(s.opt.Warmup)
 	s.bindHot()
 	for _, c := range s.cpus {

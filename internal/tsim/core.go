@@ -26,8 +26,6 @@ type core struct {
 	s     *Sim
 	id    int
 	tile  noc.NodeID
-	es    sched // shared with the core's L2 (see topo.go)
-	st    *stats.Set
 	gen   workload.Generator
 	l1    *cache.Cache
 	l1Lat sim.Time
@@ -77,8 +75,6 @@ func newCore(s *Sim, id int, gen workload.Generator, refs int64) *core {
 		s:          s,
 		id:         id,
 		tile:       s.mesh.CoreTile(id),
-		es:         s.domES(s.coreDom(id)),
-		st:         s.coreStats(id),
 		gen:        gen,
 		l1:         cache.New("l1", s.cfg.L1Bytes, s.cfg.L1Ways),
 		l1Lat:      s.cfg.L1Latency,
@@ -91,8 +87,8 @@ func newCore(s *Sim, id int, gen workload.Generator, refs int64) *core {
 }
 
 func (c *core) bindHot() {
-	c.cLoad = c.st.CounterRef(stats.TsimLoad)
-	c.cStore = c.st.CounterRef(stats.TsimStore)
+	c.cLoad = c.s.st.CounterRef(stats.TsimLoad)
+	c.cStore = c.s.st.CounterRef(stats.TsimStore)
 }
 
 func (c *core) getMiss() *coreMiss {
@@ -136,7 +132,7 @@ func (m *coreMiss) complete(at sim.Time) {
 	c.putMiss(m)
 }
 
-func (c *core) start() { c.es.AtCall(0, coreStep, c) }
+func (c *core) start() { c.s.eng.AtCall(0, coreStep, c) }
 
 // step dispatches instructions until a structural stall (ROB, MSHR,
 // dependence) or the end of the stream. It re-arms from completion events.
@@ -187,7 +183,7 @@ func (c *core) step() {
 func (c *core) issueMem(a workload.Access) {
 	block := addr.BlockOf(a.Addr)
 	t := c.clock
-	if now := c.es.Now(); t < now {
+	if now := c.s.eng.Now(); t < now {
 		t = now
 		c.clock = t
 	}
@@ -208,7 +204,7 @@ func (c *core) issueMem(a workload.Access) {
 		rt.AddSpan(obs.SegL1, t, done)
 		m := c.getMiss()
 		m.block, m.idx, m.store, m.tr = block, idx, true, rt
-		c.atCall(done, coreMissEnter, m)
+		c.s.atCall(done, coreMissEnter, m)
 		return
 	}
 
@@ -227,7 +223,7 @@ func (c *core) issueMem(a workload.Access) {
 	rt.AddSpan(obs.SegL1, t, t+c.l1Lat)
 	m := c.getMiss()
 	m.block, m.idx, m.store, m.tr = block, idx, false, rt
-	c.atCall(t+c.l1Lat, coreMissEnter, m)
+	c.s.atCall(t+c.l1Lat, coreMissEnter, m)
 }
 
 // loadDone retires a returning load and releases stalled dispatch.
@@ -253,16 +249,8 @@ func (c *core) loadDone(instrIdx int64, block uint64, at sim.Time) {
 func (c *core) resume() {
 	if c.waiting {
 		c.waiting = false
-		c.es.AfterCall(0, coreStep, c)
+		c.s.eng.AfterCall(0, coreStep, c)
 	}
-}
-
-// atCall schedules a local event at the later of t and the local now.
-func (c *core) atCall(t sim.Time, fn func(any), arg any) {
-	if now := c.es.Now(); t < now {
-		t = now
-	}
-	c.es.AtCall(t, fn, arg)
 }
 
 // retireAt records an in-order retirement bound.
@@ -279,7 +267,7 @@ func (c *core) fillL1(block uint64, dirty bool) {
 	if ok && v.Dirty {
 		l2 := c.s.l2s[c.id]
 		if !l2.c.MarkDirty(v.Block) {
-			l2.fill(v.Block, true, c.es.Now())
+			l2.fill(v.Block, true, c.s.eng.Now())
 		}
 	}
 }

@@ -25,9 +25,7 @@ func flightRun(t *testing.T, capacity int) (*metrics.Recorder, []byte, []byte) {
 		t.Fatal(err)
 	}
 	rec := metrics.NewRecorder(s.Stats(), capacity)
-	if err := s.SetFlightRecorder(rec, 5*sim.Microsecond); err != nil {
-		t.Fatal(err)
-	}
+	s.SetFlightRecorder(rec, 5*sim.Microsecond)
 	s.Run()
 	var csv, js bytes.Buffer
 	if err := rec.WriteCSV(&csv); err != nil {
@@ -104,9 +102,7 @@ func TestFlightRecorderBoundedRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := metrics.NewRecorder(s.Stats(), capacity)
-	if err := s.SetFlightRecorder(rec, 5*sim.Microsecond); err != nil {
-		t.Fatal(err)
-	}
+	s.SetFlightRecorder(rec, 5*sim.Microsecond)
 	s.Run()
 	ivs := rec.Intervals()
 	if len(ivs) != capacity {

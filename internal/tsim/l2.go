@@ -2,7 +2,6 @@ package tsim
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/addr"
 	"repro/internal/cache"
@@ -34,16 +33,6 @@ type waiter interface {
 // release drops a hold, and the request returns to the freelist only once
 // it has completed and the last hold is gone — so stale events (which
 // no-op on the completed flag) can never observe a recycled request.
-//
-// Under the sharded engine the request travels between domains (L2, home
-// slice, MC hub) as a shared token. The fields split by owner: holds and
-// completed are atomic (every side reads them; slice and hub callbacks
-// always schedule their successor hold before releasing their own, so the
-// hold count only ever reaches zero at an L2-side event and the freelist
-// stays single-domain); llcMissed and the crypto state belong to the L2;
-// mcStarted belongs to the hub; offload is written at the L2 strictly
-// before the request is first sent away. Everything else is immutable
-// in flight.
 type readReq struct {
 	block   uint64
 	isStore bool
@@ -52,7 +41,7 @@ type readReq struct {
 	tr      *obs.Req // trace context; nil when untraced (prefetches, tracing off)
 
 	waiters []waiter // requesters woken at finish; empty for prefetches
-	holds   int32    // outstanding event/registry references (atomic)
+	holds   int32    // outstanding event/registry references
 	free    *readReq // freelist link
 
 	// ctrMissDone resumes a counter miss that went MC-side for a verified
@@ -61,10 +50,10 @@ type readReq struct {
 	// reuse — and preserved across resets, keeping the path allocation-free.
 	ctrMissDone func(at sim.Time)
 
-	offload   bool   // decision bit: AES queue pressure at miss time
-	completed uint32 // atomic; see done()
-	mcStarted bool   // dedupe XPT + LLC-forwarded arrivals at the MC (hub-only)
-	llcMissed bool   // the data access missed in LLC (Fig 11; L2-only, set by the miss note)
+	offload   bool // decision bit: AES queue pressure at miss time
+	completed bool // see done()
+	mcStarted bool // dedupe XPT + LLC-forwarded arrivals at the MC
+	llcMissed bool // the data access missed in LLC (Fig 11; set by the miss note)
 
 	// L2-side cryptography state (EMCC).
 	ctrKnown   bool
@@ -79,35 +68,29 @@ type readReq struct {
 
 // holdReq takes one reference for an event or registry entry about to be
 // created; every hold is balanced by exactly one release.
-func (r *readReq) holdReq() { atomic.AddInt32(&r.holds, 1) }
+func (r *readReq) holdReq() { r.holds++ }
 
-// done reports whether the request has completed (atomically: the MC's
-// stale-arrival guards read it from the hub).
-func (r *readReq) done() bool { return atomic.LoadUint32(&r.completed) != 0 }
+// done reports whether the request has completed.
+func (r *readReq) done() bool { return r.completed }
 
 // release drops one hold; the last release after completion recycles the
-// request (always at an L2-side event — see the readReq doc comment).
+// request.
 func (r *readReq) release() {
-	n := atomic.AddInt32(&r.holds, -1)
-	if rec := r.l2.s.ivr; rec.On() && n < 0 {
+	r.holds--
+	if rec := r.l2.s.ivr; rec.On() && r.holds < 0 {
 		rec.Failf("tsim", "readReq for block %#x over-released", r.block)
 	}
-	if n == 0 && r.done() {
+	if r.holds == 0 && r.completed {
 		r.l2.putReq(r)
 	}
 }
 
 // l2Ctl is the per-core L2 cache controller. Under EMCC it also hosts a
-// share of the AES units and the counter-side logic. It shares a
-// scheduling context with its core: the serial engine, or the core's own
-// domain under ShardCores.
+// share of the AES units and the counter-side logic.
 type l2Ctl struct {
 	s    *Sim
 	id   int
 	tile noc.NodeID
-	dom  *sim.Domain // nil on the serial engine / hub
-	es   sched
-	st   *stats.Set
 	c    *cache.Cache
 	lat  sim.Time
 	aes  *mc.AESPool // nil unless EMCC moves AES bandwidth here
@@ -131,14 +114,10 @@ type l2Ctl struct {
 }
 
 func newL2Ctl(s *Sim, id int) *l2Ctl {
-	d := s.coreDom(id)
 	l := &l2Ctl{
 		s:    s,
 		id:   id,
 		tile: s.mesh.CoreTile(id),
-		dom:  d,
-		es:   s.domES(d),
-		st:   s.coreStats(id),
 		c:    cache.New(fmt.Sprintf("l2.%d", id), s.cfg.L2Bytes, s.cfg.L2Ways),
 		lat:  s.cfg.L2Latency,
 		pend: make(map[uint64]*readReq),
@@ -146,7 +125,7 @@ func newL2Ctl(s *Sim, id int) *l2Ctl {
 	l.c.SetRecorder(s.ivr)
 	if s.cfg.EMCC && s.cfg.EMCCAESFraction > 0 {
 		perL2 := s.cfg.AESPeakOpsPerSec * s.cfg.EMCCAESFraction / float64(s.opt.Cores)
-		l.aes = mc.NewAESPool(l.es, perL2, s.cfg.AESLatency)
+		l.aes = mc.NewAESPool(s.eng, perL2, s.cfg.AESLatency)
 		l.c.SetCounterCap(s.cfg.EMCCL2CounterBytes)
 	}
 	if s.cfg.EMCC && s.cfg.EMCCDynamicOff {
@@ -160,24 +139,10 @@ func newL2Ctl(s *Sim, id int) *l2Ctl {
 }
 
 func (l *l2Ctl) bindHot() {
-	l.cDataMiss = l.st.CounterRef(stats.TsimL2DataMiss)
-	l.cPrefetch = l.st.CounterRef(stats.TsimL2Prefetch)
-	l.aMissLat = l.st.AccumRef(stats.TsimL2ReadMissLatencyPS)
-}
-
-// atCall schedules a local event at the later of t and the local now.
-func (l *l2Ctl) atCall(t sim.Time, fn func(any), arg any) {
-	if now := l.es.Now(); t < now {
-		t = now
-	}
-	l.es.AtCall(t, fn, arg)
-}
-
-// schedReq schedules a local request-carrying event, taking the hold that
-// the callback's trailing release balances (see readReq).
-func (l *l2Ctl) schedReq(t sim.Time, fn func(any), req *readReq) {
-	req.holdReq()
-	l.atCall(t, fn, req)
+	st := l.s.st
+	l.cDataMiss = st.CounterRef(stats.TsimL2DataMiss)
+	l.cPrefetch = st.CounterRef(stats.TsimL2Prefetch)
+	l.aMissLat = st.AccumRef(stats.TsimL2ReadMissLatencyPS)
 }
 
 func (l *l2Ctl) getReq() *readReq {
@@ -308,7 +273,7 @@ func bipbipArrivedCB(x any) {
 // block is decrypted, verified and resident in L2. tr is the request's
 // trace context (nil when untraced).
 func (l *l2Ctl) read(block uint64, isStore bool, tr *obs.Req, w waiter) {
-	t := l.es.Now()
+	t := l.s.eng.Now()
 	if l.monitor != nil {
 		l.monitor.OnRequest()
 	}
@@ -333,7 +298,7 @@ func (l *l2Ctl) read(block uint64, isStore bool, tr *obs.Req, w waiter) {
 	req.holdReq() // MSHR registration; released in finish
 	l.pend[block] = req
 	*l.cDataMiss++
-	l.schedReq(tM, missPathCB, req)
+	l.s.schedReq(tM, missPathCB, req)
 	// Demand misses train the stride prefetcher; candidates fetch in the
 	// background through the same secure-read machinery.
 	if l.pf != nil {
@@ -349,20 +314,20 @@ func (l *l2Ctl) prefetchInto(block uint64) {
 	if l.c.Peek(block) || l.pend[block] != nil {
 		return
 	}
-	t := l.es.Now()
+	t := l.s.eng.Now()
 	tM := t + l.lat
 	req := l.getReq()
 	req.block, req.missAt = block, tM
 	req.holdReq() // MSHR registration; released in finish
 	l.pend[block] = req
 	*l.cPrefetch++
-	l.schedReq(tM, missPathCB, req)
+	l.s.schedReq(tM, missPathCB, req)
 }
 
 // missPath launches the parallel data and (under EMCC) counter requests.
 func (l *l2Ctl) missPath(req *readReq) {
 	s := l.s
-	tM := l.es.Now()
+	tM := s.eng.Now()
 
 	emccOn := s.cfg.EMCC && s.secure() && (l.monitor == nil || l.monitor.Enabled())
 	if emccOn {
@@ -371,14 +336,14 @@ func (l *l2Ctl) missPath(req *readReq) {
 		if l.aes == nil || s.pol.ShouldOffload(l.aes.QueueDelay()) {
 			req.offload = true
 			req.tr.MarkOffload()
-			l.st.Inc(stats.EmccOffloadQueue)
+			s.st.Inc(stats.EmccOffloadQueue)
 		}
 		// Serial counter lookup in L2 during spare cycles ('J').
-		l.schedReq(tM+s.pol.LookupDelay, counterProbeCB, req)
+		s.schedReq(tM+s.pol.LookupDelay, counterProbeCB, req)
 	} else if s.cfg.EMCC && s.secure() {
 		// Dynamic EMCC-off (Sec. IV-F): all cryptography at the MC.
 		req.offload = true
-		l.st.Inc(stats.EmccDynamicOffMiss)
+		s.st.Inc(stats.EmccDynamicOffMiss)
 	}
 
 	// Data request to the block's home LLC slice.
@@ -390,10 +355,9 @@ func (l *l2Ctl) missPath(req *readReq) {
 
 	// XPT LLC-miss prediction: forward the miss straight to the MC in
 	// parallel (idealised: only when the block really misses in LLC).
-	// Serial engine only — Validate rejects XPT with Domains > 0.
 	if s.cfg.XPT && !s.llcPeek(req.block) {
 		mcTile := s.mesh.MCTile(s.mesh.MCOf(req.block))
-		l.schedReq(tM+s.oneway(l.tile, mcTile), mcDataReadSpecCB, req)
+		s.schedReq(tM+s.oneway(l.tile, mcTile), mcDataReadSpecCB, req)
 	}
 }
 
@@ -404,12 +368,12 @@ func (l *l2Ctl) counterProbe(req *readReq) {
 	if req.done() {
 		return
 	}
-	t := l.es.Now()
+	t := s.eng.Now()
 	// The probe span covers the serial-lookup wait ('J') plus the lookup.
 	req.tr.AddSpan(obs.SegCtrProbeL2, req.missAt, t)
 	cb := s.mc.home.CounterBlockOf(req.block)
 	if l.c.Lookup(cb) {
-		l.st.Inc(stats.EmccL2CtrHit)
+		s.st.Inc(stats.EmccL2CtrHit)
 		req.ctrKnown = true
 		req.ctrReady = t + s.mc.decodeLat
 		req.tr.MarkCtr(obs.CtrAtL2)
@@ -417,8 +381,8 @@ func (l *l2Ctl) counterProbe(req *readReq) {
 		l.maybeStartAES(req)
 		return
 	}
-	l.st.Inc(stats.EmccL2CtrMiss)
-	l.st.Inc(stats.EmccSpecFetch)
+	s.st.Inc(stats.EmccL2CtrMiss)
+	s.st.Inc(stats.EmccSpecFetch)
 	req.tr.Begin(obs.SegCtrFetch, t)
 	j := s.mesh.SliceIndexOf(cb)
 	req.holdReq()
@@ -429,7 +393,7 @@ func (l *l2Ctl) counterProbe(req *readReq) {
 // after an on-chip miss, from the MC).
 func (l *l2Ctl) counterArrived(req *readReq, cb uint64) {
 	s := l.s
-	t := l.es.Now()
+	t := s.eng.Now()
 	l.insertCounter(cb)
 	if req.llcMissed {
 		// The fetch that triggered this counter already proved it
@@ -456,14 +420,14 @@ func (l *l2Ctl) missNote(req *readReq) {
 // insertCounter caches a counter block in L2 under the 32 KB cap with the
 // Fig 11 useless-fetch accounting.
 func (l *l2Ctl) insertCounter(cb uint64) {
-	l.st.Inc(stats.EmccCtrInserted)
+	l.s.st.Inc(stats.EmccCtrInserted)
 	v, ok := l.c.Insert(cb, false, addr.KindCounter)
 	if !ok {
 		return
 	}
 	if v.Kind == addr.KindCounter {
 		if !v.WasUsed {
-			l.st.Inc(stats.EmccUseless)
+			l.s.st.Inc(stats.EmccUseless)
 		}
 		return
 	}
@@ -483,7 +447,7 @@ func (l *l2Ctl) maybeStartAES(req *readReq) {
 	if gate := req.missAt + s.pol.LLCHitWait; gate > start {
 		start = gate
 	}
-	l.schedReq(start, aesStartCB, req)
+	s.schedReq(start, aesStartCB, req)
 }
 
 // aesStart reserves local AES bandwidth at the gated start time.
@@ -493,9 +457,9 @@ func (l *l2Ctl) aesStart(req *readReq) {
 		return
 	}
 	req.aesKnown = true
-	req.aesDone = l.aes.Reserve(emcc.AESOpsPerRead, l.es.Now())
+	req.aesDone = l.aes.Reserve(emcc.AESOpsPerRead, l.s.eng.Now())
 	issue := req.aesDone - l.aes.Latency()
-	req.tr.AddSpan(obs.SegAESQueue, l.es.Now(), issue)
+	req.tr.AddSpan(obs.SegAESQueue, l.s.eng.Now(), issue)
 	req.tr.AddSpan(obs.SegAESCompute, issue, req.aesDone)
 	l.maybeFinishCipher(req)
 }
@@ -507,19 +471,19 @@ func (l *l2Ctl) completePlain(req *readReq, fromMC bool) {
 		return
 	}
 	if fromMC {
-		l.st.Inc(stats.EmccDecryptAtMC)
+		l.s.st.Inc(stats.EmccDecryptAtMC)
 		if l.monitor != nil {
 			l.monitor.OnDRAMFill()
 		}
 	}
-	l.finish(req, l.es.Now())
+	l.finish(req, l.s.eng.Now())
 }
 
 // cipherArrived handles an untagged MC response: ciphertext plus
 // MAC⊕dot-product, to be finished with the locally computed AES results.
 func (l *l2Ctl) cipherArrived(req *readReq) {
 	req.cipherHere = true
-	req.cipherAt = l.es.Now()
+	req.cipherAt = l.s.eng.Now()
 	if l.monitor != nil {
 		l.monitor.OnDRAMFill()
 	}
@@ -537,12 +501,12 @@ func (l *l2Ctl) maybeFinishCipher(req *readReq) {
 	if req.aesDone > at {
 		at = req.aesDone
 	}
-	l.st.Observe(stats.TsimCryptoExposureL2PS, float64(at-req.cipherAt))
+	l.s.st.Observe(stats.TsimCryptoExposureL2PS, float64(at-req.cipherAt))
 	req.tr.MarkDecrypt(obs.DecAtL2, req.cipherAt, at)
 	at += sim.NS(1)
-	l.st.Inc(stats.EmccDecryptAtL2)
+	l.s.st.Inc(stats.EmccDecryptAtL2)
 	req.finishAt = at
-	l.schedReq(at, finishCipherCB, req)
+	l.s.schedReq(at, finishCipherCB, req)
 }
 
 // bipbipArrived handles a ciphertext response under CtrBipBip: the cache
@@ -554,14 +518,14 @@ func (l *l2Ctl) bipbipArrived(req *readReq) {
 	if req.done() {
 		return
 	}
-	at := l.es.Now()
+	at := l.s.eng.Now()
 	done := at + l.s.mc.bipbipLat
-	l.st.Inc(stats.BipBipDecryptOps)
-	l.st.Observe(stats.TsimCryptoExposureL2PS, float64(done-at))
+	l.s.st.Inc(stats.BipBipDecryptOps)
+	l.s.st.Observe(stats.TsimCryptoExposureL2PS, float64(done-at))
 	req.tr.MarkDecrypt(obs.DecAtL2, at, done)
 	req.tr.AddSpan(obs.SegBipBipCipher, at, done)
 	req.finishAt = done
-	l.schedReq(done, finishCipherCB, req)
+	l.s.schedReq(done, finishCipherCB, req)
 }
 
 // finish inserts the block, wakes waiters and retires the MSHR.
@@ -569,7 +533,7 @@ func (l *l2Ctl) finish(req *readReq, at sim.Time) {
 	if req.done() {
 		return
 	}
-	atomic.StoreUint32(&req.completed, 1)
+	req.completed = true
 	l.fill(req.block, false, at)
 	if l.pend[req.block] == req {
 		delete(l.pend, req.block)
@@ -598,7 +562,7 @@ func (l *l2Ctl) fill(block uint64, dirty bool, at sim.Time) {
 func (l *l2Ctl) spillVictim(v cache.Victim) {
 	if v.Kind == addr.KindCounter {
 		if !v.WasUsed {
-			l.st.Inc(stats.EmccUseless)
+			l.s.st.Inc(stats.EmccUseless)
 		}
 		return
 	}
@@ -613,16 +577,16 @@ func (l *l2Ctl) spillVictim(v cache.Victim) {
 		p |= 1
 	}
 	g := s.slices[j]
-	//lint:ignore allocpin sharded-engine path: box falls back to a per-message allocation only when Domains > 0, outside the serial-only 0-alloc pins
-	l.toSlice[j].send(l.es.Now()+s.oneway(l.tile, g.tile), g.insertDataCB, s.box(p))
+	//lint:ignore allocpin u64box freelist growth: box allocates only until the freelist covers the run's in-flight messages; steady state recycles through unbox
+	l.toSlice[j].send(s.eng.Now()+s.oneway(l.tile, g.tile), g.insertDataCB, s.box(p))
 }
 
 // invalidateCounter handles an MC counter-update invalidation (Fig 23).
 func (l *l2Ctl) invalidateCounter(cb uint64) {
 	if v, ok := l.c.Invalidate(cb); ok {
-		l.st.Inc(stats.EmccInvalidations)
+		l.s.st.Inc(stats.EmccInvalidations)
 		if !v.WasUsed {
-			l.st.Inc(stats.EmccUseless)
+			l.s.st.Inc(stats.EmccUseless)
 		}
 	}
 }

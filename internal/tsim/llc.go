@@ -14,17 +14,13 @@ import (
 // llcSlice is one LLC slice: a real tag-store shard on its own mesh tile,
 // holding its share of the total sets (cache.SplitSets — the same split
 // fsim uses, so the functional and timing LLC contents stay comparable).
-// Under the sharded engine slice j executes in domain j mod Domains; on
-// the serial engine all slices share the engine, but the message seams are
-// identical (see topo.go). A miss pays only the tag lookup while a hit
-// pays tag + data, the 'L' effect of Fig 13.
+// Messages to and from the slice travel over keyed seams (see seam.go). A
+// miss pays only the tag lookup while a hit pays tag + data, the 'L'
+// effect of Fig 13.
 type llcSlice struct {
 	s    *Sim
 	idx  int
 	tile noc.NodeID
-	dom  *sim.Domain // nil on the serial engine / hub
-	es   sched
-	st   *stats.Set
 	c    *cache.Cache
 
 	tagLat     sim.Time
@@ -32,7 +28,7 @@ type llcSlice struct {
 	payloadPen sim.Time // 'M' of Fig 13: transmitting counter payloads
 
 	toCore []port // responses, counter deliveries, miss notes
-	toHub  port   // LLC misses, counter misses, victim writebacks, probe replies
+	toMC   port   // LLC misses, counter misses, victim writebacks, probe replies
 
 	// Prebound handlers for packed-payload messages arriving at this
 	// slice (bound once at construction; see the handle* methods).
@@ -41,23 +37,17 @@ type llcSlice struct {
 	metaProbeCB  func(any)
 }
 
-// buildSlices constructs every LLC slice. The slice count is the mesh's
-// core-tile count — a property of the geometry, never of Domains, so a
-// sharded run models exactly the machine the serial run does.
+// buildSlices constructs every LLC slice, one per core tile of the mesh.
 func (s *Sim) buildSlices() {
 	n := s.mesh.CoreTiles()
 	totalSets := uint64(s.cfg.L3Bytes/addr.BlockBytes) / uint64(s.cfg.L3Ways)
 	split := cache.SplitSets(totalSets, n)
 	s.slices = make([]*llcSlice, n)
 	for j := 0; j < n; j++ {
-		d := s.sliceDom(j)
 		g := &llcSlice{
 			s:          s,
 			idx:        j,
 			tile:       s.mesh.CoreTile(j),
-			dom:        d,
-			es:         s.domES(d),
-			st:         s.sliceStats(j),
 			c:          cache.NewSets(fmt.Sprintf("llc.%d", j), split[j], s.cfg.L3Ways),
 			tagLat:     s.cfg.L3TagLatency,
 			dataLat:    s.cfg.L3DataLatency,
@@ -74,8 +64,8 @@ func (s *Sim) buildSlices() {
 // dataAccess serves an L2 data miss arriving at its home slice.
 func (g *llcSlice) dataAccess(req *readReq) {
 	s := g.s
-	t := g.es.Now()
-	g.st.Inc(stats.TsimLLCDataAccess)
+	t := s.eng.Now()
+	s.st.Inc(stats.TsimLLCDataAccess)
 	if g.c.Lookup(req.block) {
 		// On-chip data is already decrypted and verified.
 		req.tr.AddSpan(obs.SegLLCProbe, t, t+g.tagLat+g.dataLat)
@@ -85,7 +75,7 @@ func (g *llcSlice) dataAccess(req *readReq) {
 		g.toCore[req.l2.id].send(arr, completePlainLocalCB, req)
 		return
 	}
-	g.st.Inc(stats.TsimLLCDataMiss)
+	s.st.Inc(stats.TsimLLCDataMiss)
 	req.tr.MarkLLCMiss()
 	req.tr.AddSpan(obs.SegLLCProbe, t, t+g.tagLat)
 	if s.cfg.EMCC && s.secure() {
@@ -98,7 +88,7 @@ func (g *llcSlice) dataAccess(req *readReq) {
 	mcTile := s.mesh.MCTile(s.mesh.MCOf(req.block))
 	req.tr.AddSpan(obs.SegNoCToMC, t+g.tagLat, t+g.tagLat+s.oneway(g.tile, mcTile))
 	req.holdReq()
-	g.toHub.send(t+g.tagLat+s.oneway(g.tile, mcTile), mcDataReadConfCB, req)
+	g.toMC.send(t+g.tagLat+s.oneway(g.tile, mcTile), mcDataReadConfCB, req)
 }
 
 // counterAccessFromL2 serves EMCC's speculative parallel counter fetch.
@@ -109,23 +99,23 @@ func (g *llcSlice) dataAccess(req *readReq) {
 // aggregate.
 func (g *llcSlice) counterAccessFromL2(req *readReq, cb uint64) {
 	s := g.s
-	t := g.es.Now()
-	g.st.Inc(stats.TsimCtrLLCLookup)
-	g.st.Inc(stats.TsimCtrSpecLLCLookup)
+	t := s.eng.Now()
+	s.st.Inc(stats.TsimCtrLLCLookup)
+	s.st.Inc(stats.TsimCtrSpecLLCLookup)
 	if g.c.Lookup(cb) {
-		g.st.Inc(stats.TsimCtrLLCHit)
-		g.st.Inc(stats.TsimCtrSpecLLCHit)
+		s.st.Inc(stats.TsimCtrLLCHit)
+		s.st.Inc(stats.TsimCtrSpecLLCHit)
 		req.tr.MarkCtr(obs.CtrAtLLC)
 		arr := t + g.tagLat + g.dataLat + g.payloadPen + s.oneway(g.tile, req.l2.tile)
 		req.holdReq()
 		g.toCore[req.l2.id].send(arr, counterArrivedCB, req)
 		return
 	}
-	g.st.Inc(stats.TsimCtrLLCMiss)
-	g.st.Inc(stats.TsimCtrSpecLLCMiss)
+	s.st.Inc(stats.TsimCtrLLCMiss)
+	s.st.Inc(stats.TsimCtrSpecLLCMiss)
 	mcTile := s.mesh.MCTile(s.mesh.MCOf(cb))
 	req.holdReq()
-	g.toHub.send(t+g.tagLat+s.oneway(g.tile, mcTile), counterMissCB, req)
+	g.toMC.send(t+g.tagLat+s.oneway(g.tile, mcTile), counterMissCB, req)
 }
 
 // handleMetaProbe serves the baseline MC counter path: the MC, having
@@ -135,17 +125,17 @@ func (g *llcSlice) counterAccessFromL2(req *readReq, cb uint64) {
 func (g *llcSlice) handleMetaProbe(a any) {
 	s := g.s
 	mb := s.unbox(a)
-	t := g.es.Now()
-	g.st.Inc(stats.TsimCtrLLCLookup)
+	t := s.eng.Now()
+	s.st.Inc(stats.TsimCtrLLCLookup)
 	mcTile := s.mesh.MCTile(s.mesh.MCOf(mb))
 	if g.c.Lookup(mb) {
-		g.st.Inc(stats.TsimCtrLLCHit)
+		s.st.Inc(stats.TsimCtrLLCHit)
 		arr := t + g.tagLat + g.dataLat + g.payloadPen + s.oneway(g.tile, mcTile)
-		g.toHub.send(arr, s.mc.metaProbeDoneCB, s.box(mb<<1|1))
+		g.toMC.send(arr, s.mc.metaProbeDoneCB, s.box(mb<<1|1))
 		return
 	}
-	g.st.Inc(stats.TsimCtrLLCMiss)
-	g.toHub.send(t+g.tagLat+s.oneway(g.tile, mcTile), s.mc.metaProbeDoneCB, s.box(mb<<1))
+	s.st.Inc(stats.TsimCtrLLCMiss)
+	g.toMC.send(t+g.tagLat+s.oneway(g.tile, mcTile), s.mc.metaProbeDoneCB, s.box(mb<<1))
 }
 
 // handleInsertData unpacks an L2 data-victim spill (block<<1|dirty).
@@ -183,6 +173,12 @@ func (g *llcSlice) insert(block uint64, dirty bool, kind addr.Kind) {
 		cb = s.mc.wbMetaCB
 	}
 	mcTile := s.mesh.MCTile(s.mesh.MCOf(v.Block))
-	//lint:ignore allocpin sharded-engine path: box falls back to a per-message allocation only when Domains > 0, outside the serial-only 0-alloc pins
-	g.toHub.send(g.es.Now()+s.oneway(g.tile, mcTile), cb, s.box(v.Block))
+	//lint:ignore allocpin u64box freelist growth: box allocates only until the freelist covers the run's in-flight messages; steady state recycles through unbox
+	g.toMC.send(s.eng.Now()+s.oneway(g.tile, mcTile), cb, s.box(v.Block))
 }
+
+// sliceFor maps a block to its home LLC slice.
+func (s *Sim) sliceFor(block uint64) *llcSlice { return s.slices[s.mesh.SliceIndexOf(block)] }
+
+// llcPeek probes the sliced LLC without touching LRU state (XPT's oracle).
+func (s *Sim) llcPeek(block uint64) bool { return s.sliceFor(block).c.Peek(block) }

@@ -36,12 +36,12 @@ type mcCtl struct {
 	toSlice []port // metadata probes and inserts to the home slices
 	toCore  []port // data responses, counter deliveries, invalidations
 
-	// Prebound handlers for packed-payload messages arriving at the hub
-	// (bound once in newMCCtl).
-	freePend  *mcDataPending // mcDataPending pool (hub-owned)
-	freeCont  *metaCont      // metadata-continuation pool (hub-owned)
-	freeFetch *metaFetch     // metaFetch pool (hub-owned)
+	freePend  *mcDataPending // mcDataPending pool
+	freeCont  *metaCont      // metadata-continuation pool
+	freeFetch *metaFetch     // metaFetch pool
 
+	// Prebound handlers for packed-payload messages arriving at the MC
+	// (bound once in newMCCtl).
 	wbDataCB        func(any) // boxed victim block from a slice (data)
 	wbMetaCB        func(any) // boxed victim block from a slice (metadata)
 	metaProbeDoneCB func(any) // packed mb<<1|hit probe reply from a slice
@@ -119,12 +119,11 @@ func (m *mcCtl) putPending(p *mcDataPending) {
 	m.freePend = p
 }
 
-// metaCont is one pooled continuation in the metadata machinery. The
-// whole counter path runs hub-side in both engines, so a plain freelist
-// keeps it allocation-free. The func(at) bodies are bound once per entry
-// (each captures only the entry) and read the argument fields set at
-// checkout, replacing the per-call closures the hot write path used to
-// allocate.
+// metaCont is one pooled continuation in the metadata machinery. A plain
+// freelist keeps it allocation-free. The func(at) bodies are bound once
+// per entry (each captures only the entry) and read the argument fields
+// set at checkout, replacing the per-call closures the hot write path
+// used to allocate.
 type metaCont struct {
 	m      *mcCtl
 	block  uint64            // bump: block whose counter advances; fetch/defer: the metadata block
@@ -286,15 +285,15 @@ func newMCCtl(s *Sim, dataBytes int64) *mcCtl {
 }
 
 // handleWBData unboxes a dirty data-victim writeback arriving over a
-// slice's toHub link.
+// slice's toMC seam.
 func (m *mcCtl) handleWBData(a any) { m.writebackData(m.s.unbox(a)) }
 
 // handleWBMeta unboxes a dirty metadata-victim writeback arriving over a
-// slice's toHub link.
+// slice's toMC seam.
 func (m *mcCtl) handleWBMeta(a any) { m.writebackMeta(m.s.unbox(a)) }
 
 // handleMetaProbeDone unboxes a home slice's counter-probe verdict
-// (mb<<1|hit) arriving over its toHub link.
+// (mb<<1|hit) arriving over its toMC seam.
 func (m *mcCtl) handleMetaProbeDone(a any) { m.metaProbeDone(m.s.unbox(a)) }
 
 // ---- Data read path ----

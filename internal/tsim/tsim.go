@@ -75,8 +75,7 @@ type Sim struct {
 	cfg     *config.Config
 	opt     Options
 	eng     *sim.Engine
-	shard   *sim.Shard // non-nil when cfg.Domains > 0: eng is the hub
-	boxFree *u64box    // serial-engine freelist for packed seam payloads
+	boxFree *u64box // freelist for packed seam payloads
 	st      *stats.Set
 	mesh    *noc.Mesh
 	dram    *dram.DRAM
@@ -87,16 +86,6 @@ type Sim struct {
 	pol     emcc.Policy
 	ivr     *inv.Recorder // this run's invariant recorder (never nil)
 	trc     *obs.Tracer   // nil = tracing disabled (the common case)
-
-	// Sharded-engine topology (empty on the serial engine; see topo.go).
-	sliceDoms []*sim.Domain
-	coreDoms  []*sim.Domain
-	linkTab   map[domPair]*sim.Link
-	// Per-domain stats shards in canonical merge order (slice groups,
-	// then cores); merged into st at the end of Run.
-	domSets   []*stats.Set
-	sliceSets []*stats.Set
-	coreSets  []*stats.Set
 
 	rec       *metrics.Recorder // nil = flight recording disabled
 	recPeriod sim.Time
@@ -149,9 +138,6 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 	s.eng.SetRecorder(s.ivr)
 	s.pol = emcc.NewPolicyRec(cfg, s.mesh, s.ivr)
 	s.dram = dram.New(s.eng, s.st, cfg)
-	// Cut the run into domains (slice groups, optional per-core domains,
-	// DRAM channels) before any entity binds its scheduling context.
-	s.buildTopology()
 	s.buildSlices()
 	s.mc = newMCCtl(s, dataBytes)
 	perCore := opt.Refs / int64(opt.Cores)
@@ -183,16 +169,7 @@ func (s *Sim) Stats() *stats.Set { return s.st }
 // SetTracer attaches a per-request tracer (internal/obs). Call before Run;
 // a nil tracer (the default) keeps every instrumentation site on its
 // single-branch fast path. Warmup references are never traced.
-//
-// Tracing is a serial-engine tool: trace spans and the periodic sampler
-// read state that lives in other domains mid-run, and the sharded engine
-// has no safe point for that. Declaring config.Tracing surfaces the
-// conflict at Validate time; attaching a tracer to a sharded simulator
-// anyway is reported here as an error.
-func (s *Sim) SetTracer(t *obs.Tracer) error {
-	if s.shard != nil && t != nil {
-		return fmt.Errorf("tsim: tracing requires the serial engine — set Domains = 0 (got %d) or drop the tracer", s.cfg.Domains)
-	}
+func (s *Sim) SetTracer(t *obs.Tracer) {
 	s.trc = t
 	for _, l2 := range s.l2s {
 		if l2.monitor != nil {
@@ -206,7 +183,6 @@ func (s *Sim) SetTracer(t *obs.Tracer) error {
 			}
 		}
 	}
-	return nil
 }
 
 // SetFlightRecorder attaches an interval flight recorder that samples the
@@ -216,44 +192,13 @@ func (s *Sim) SetTracer(t *obs.Tracer) error {
 // warm-up and phase changes from the first measured event on. The series
 // is a pure function of the scenario: byte-identical across reruns and
 // across concurrent runs at any parallelism.
-//
-// The recorder samples the shared stats set every interval; when sharded,
-// DRAM metrics accumulate in per-channel domain shards that only merge
-// after the run, so mid-run samples would be silently wrong (and racy).
-// Declaring config.FlightRecorder surfaces the conflict at Validate time;
-// attaching a recorder to a sharded simulator anyway is an error.
-func (s *Sim) SetFlightRecorder(rec *metrics.Recorder, period sim.Time) error {
-	if s.shard != nil && rec != nil {
-		return fmt.Errorf("tsim: the flight recorder requires the serial engine — set Domains = 0 (got %d) or drop the recorder", s.cfg.Domains)
-	}
+func (s *Sim) SetFlightRecorder(rec *metrics.Recorder, period sim.Time) {
 	s.rec = rec
 	s.recPeriod = period
-	return nil
 }
 
 // Engine exposes the event engine (timeline tooling uses it).
 func (s *Sim) Engine() *sim.Engine { return s.eng }
-
-// SetShardWorkers overrides the sharded engine's worker-goroutine count
-// (a no-op on the serial engine). The schedule is byte-identical at any
-// worker count — the verification harness exercises exactly that claim.
-// Call before Run.
-func (s *Sim) SetShardWorkers(n int) {
-	if s.shard != nil && n > 0 {
-		s.shard.Workers = n
-	}
-}
-
-// ShardWorkers reports how many goroutines the sharded engine will run
-// its rounds on — the host-capped default or the SetShardWorkers
-// override, clamped as sim.Shard.Run clamps it — or 0 on the serial
-// engine.
-func (s *Sim) ShardWorkers() int {
-	if s.shard == nil {
-		return 0
-	}
-	return s.shard.RunWorkers()
-}
 
 // Run warms the machine, executes the workload to completion and
 // summarises.
@@ -285,25 +230,11 @@ func (s *Sim) Run() Result {
 	}
 	// Hard ceiling guards against modelling bugs hanging the run.
 	const maxSteps = 2_000_000_000
-	if s.shard != nil {
-		s.shard.MaxSteps = maxSteps
-		s.shard.Run()
-		// Fold every per-domain stats shard into the run's set in
-		// canonical order (slice groups, cores, then DRAM channels)
-		// before anything below reads it. Every accumulated value is an
-		// integer count or an integer number of picoseconds, so the
-		// merged totals are exact regardless of merge order.
-		for _, ds := range s.domSets {
-			s.st.Merge(ds)
+	for s.eng.Pending() > 0 {
+		if s.eng.Steps() > maxSteps {
+			panic(fmt.Sprintf("tsim: exceeded %d events — likely a stall bug", int64(maxSteps)))
 		}
-		s.dram.MergeShardStats()
-	} else {
-		for s.eng.Pending() > 0 {
-			if s.eng.Steps() > maxSteps {
-				panic(fmt.Sprintf("tsim: exceeded %d events — likely a stall bug", int64(maxSteps)))
-			}
-			s.eng.RunFor(sim.Millisecond)
-		}
+		s.eng.RunFor(sim.Millisecond)
 	}
 
 	var res Result
