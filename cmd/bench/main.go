@@ -9,7 +9,7 @@
 // 4-core co-run), and one full verification-harness run (check.Run at
 // 2 k references on one goroutine) — and emits one machine-readable JSON
 // artifact. The BENCH_*.json files in the repo root record earlier runs
-// (BENCH_16.json is the newest); CI regenerates the artifact on every
+// (BENCH_17.json is the newest); CI regenerates the artifact on every
 // push and uploads it for trend inspection.
 //
 // Each run also diffs itself against the newest committed BENCH_*.json

@@ -13,6 +13,7 @@
 // Usage:
 //
 //	go run ./cmd/check [-quick] [-seed N] [-refs N] [-bench name] [-cores N] [-parallel N]
+//	    [-cpuprofile file] [-memprofile file] [-exectrace file]
 package main
 
 import (
@@ -23,6 +24,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/config"
+	"repro/internal/profile"
 	"repro/internal/prov"
 )
 
@@ -34,7 +36,13 @@ func main() {
 	flag.IntVar(&opt.Cores, "cores", 0, "simulated cores (0 = default)")
 	flag.BoolVar(&opt.Quick, "quick", false, "halve the reference budget")
 	flag.IntVar(&opt.Parallel, "parallel", runtime.GOMAXPROCS(0), "concurrent check units (1 = serial)")
+	prof := profile.Register(flag.CommandLine, "check")
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, "check:", err)
+		os.Exit(1)
+	}
+	defer prof.Done()
 
 	cfg := config.Default()
 	fmt.Printf("# %s\n", prov.Line(prov.Manifest(&cfg, map[string]string{
@@ -50,6 +58,6 @@ func main() {
 	failed := check.Failed(results)
 	fmt.Printf("\n%d checks, %d failed\n", len(results), failed)
 	if failed > 0 {
-		os.Exit(1)
+		prof.Exit(1)
 	}
 }

@@ -7,6 +7,7 @@
 //	emccsim -mode functional -bench canneal -refs 2000000 -system emcc
 //	emccsim -mode timing -bench mcf -refs 300000 -system morphable
 //	emccsim -mode timing -bench mcf -cache .simcache   # reuse prior results
+//	emccsim -mode functional -cpuprofile cpu.pprof     # profile the run
 package main
 
 import (
@@ -14,14 +15,21 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/config"
+	"repro/internal/dram"
+	"repro/internal/profile"
 	"repro/internal/prov"
 	"repro/internal/run"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
+
+// profiler stops the -cpuprofile/-memprofile/-exectrace profiles on every
+// exit; fatal exits through it.
+var profiler = profile.Register(flag.CommandLine, "emccsim")
 
 func main() {
 	var (
@@ -46,6 +54,10 @@ func main() {
 		cacheDir = flag.String("cache", "", "directory for the persistent result cache")
 	)
 	flag.Parse()
+	if err := profiler.Start(); err != nil {
+		fatal(err)
+	}
+	defer profiler.Done()
 
 	if *list {
 		fmt.Println("primary (large/irregular):", strings.Join(workload.PrimaryNames(), " "))
@@ -165,8 +177,13 @@ func main() {
 		fmt.Printf("ipc                          %.3f\n", res.IPC)
 		fmt.Printf("l2-miss-latency-ns           %.2f\n", res.L2MissLatencyNS)
 		fmt.Printf("decrypt-at-l2-frac           %.3f\n", res.DecryptAtL2Frac)
-		for k, v := range res.BusyFraction {
-			fmt.Printf("dram-util/%-18s %.3f\n", k, v)
+		kinds := make([]dram.TrafficKind, 0, len(res.BusyFraction))
+		for k := range res.BusyFraction {
+			kinds = append(kinds, k)
+		}
+		slices.Sort(kinds)
+		for _, k := range kinds {
+			fmt.Printf("dram-util/%-18s %.3f\n", k, res.BusyFraction[k])
 		}
 		fmt.Print(o.Stats.Dump())
 	}
@@ -182,5 +199,5 @@ func emitJSON(v interface{}) {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "emccsim:", err)
-	os.Exit(1)
+	profiler.Exit(1)
 }

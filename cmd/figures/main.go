@@ -10,6 +10,7 @@
 //	figures -all -j 8             # run scenarios on 8 workers
 //	figures -all -cache .figcache # reuse simulation results across runs
 //	figures -list                 # enumerate figure ids
+//	figures -all -cpuprofile cpu.pprof  # profile the regeneration
 //
 // Tables are byte-identical at any -j; -cache keys entries by scenario
 // config hash and code revision, so stale results are never served.
@@ -22,6 +23,7 @@ import (
 	"strings"
 
 	"repro/internal/figures"
+	"repro/internal/profile"
 	"repro/internal/run"
 )
 
@@ -37,7 +39,13 @@ func main() {
 		workers  = flag.Int("j", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = serial)")
 		cacheDir = flag.String("cache", "", "directory for the persistent result cache")
 	)
+	prof := profile.Register(flag.CommandLine, "figures")
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+		os.Exit(1)
+	}
+	defer prof.Done()
 
 	if *list {
 		fmt.Println(strings.Join(figures.IDs(), " "))
@@ -49,7 +57,7 @@ func main() {
 		c, err := run.OpenCache(*cacheDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "figures: cache: %v\n", err)
-			os.Exit(1)
+			prof.Exit(1)
 		}
 		h.Cache = c
 	}
@@ -65,7 +73,7 @@ func main() {
 			fmt.Printf("# %s: %s\n", t.ID, t.Title)
 			if err := t.WriteCSV(os.Stdout); err != nil {
 				fmt.Fprintf(os.Stderr, "figures: csv: %v\n", err)
-				os.Exit(1)
+				prof.Exit(1)
 			}
 			fmt.Println()
 			return
@@ -81,11 +89,11 @@ func main() {
 		t, ok := h.ByID(*fig)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "figures: unknown figure %q; try -list\n", *fig)
-			os.Exit(1)
+			prof.Exit(1)
 		}
 		emit(t)
 	default:
 		fmt.Fprintln(os.Stderr, "figures: pass -fig <id> or -all (see -list)")
-		os.Exit(1)
+		prof.Exit(1)
 	}
 }

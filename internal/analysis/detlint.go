@@ -23,6 +23,7 @@ var detPackages = []string{
 	"internal/check",
 	"internal/obs",
 	"internal/prov",
+	"cmd/emccsim",
 }
 
 // globalRandFuncs are the math/rand (and v2) package-level functions that

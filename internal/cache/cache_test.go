@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -178,18 +179,26 @@ func TestLookupConsistencyProperty(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { New("x", 0, 4) },
-		func() { New("x", 192, 4) }, // 3 blocks not divisible by 4 ways
-		func() { New("x", 64, 2) },  // zero sets
+	for _, tc := range []struct {
+		build func()
+		msg   string // a substring the panic message must hold ("" = any)
+	}{
+		{func() { New("x", 0, 4) }, ""},
+		{func() { New("x", 192, 4) }, ""}, // 3 blocks not divisible by 4 ways
+		{func() { New("x", 64, 2) }, ""},  // zero sets
+		{func() { New("x", 2*(MaxWays+1)*64, MaxWays+1) }, "257 ways exceed the 256-way limit"},
+		{func() { NewSets("x", 1, MaxWays+1) }, "257 ways exceed the 256-way limit"},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Error("bad geometry did not panic")
+				} else if msg, _ := r.(string); !strings.Contains(msg, tc.msg) {
+					t.Errorf("panic %q does not say %q", msg, tc.msg)
 				}
 			}()
-			fn()
+			tc.build()
 		}()
 	}
 }

@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,7 +22,10 @@ type geometry struct {
 }
 
 // matchGeometries are the shapes the simulator builds (default config) plus
-// a fully associative cache, with and without a counter cap.
+// a fully associative cache, with and without a counter cap, then
+// associativities that leave padding in a set's last metadata word and the
+// largest store a set's byte-wide recency order can hold. The fuzz seed
+// corpus picks geometries by index: append, never reorder.
 var matchGeometries = []geometry{
 	{name: "l1", bytes: 64 << 10, ways: 8},                           // 128 sets
 	{name: "l2", bytes: 1 << 20, ways: 8},                            // 2048 sets
@@ -30,6 +35,9 @@ var matchGeometries = []geometry{
 	{name: "mc-ctr", bytes: 128 << 10, ways: 32, capBytes: 96 << 10}, // 64 sets, mc.NewHome's 3/4 cap
 	{name: "1set-64way", sets: 1, ways: 64},
 	{name: "1set-64way-cap", sets: 1, ways: 64, capBytes: 16 * addr.BlockBytes},
+	{name: "12way-cap", sets: 97, ways: 12, capBytes: 256 * addr.BlockBytes},
+	{name: "3way", bytes: 12 << 10, ways: 3}, // 64 sets
+	{name: "1set-256way", sets: 1, ways: MaxWays},
 }
 
 func (g geometry) build() (*Cache, *refCache) {
@@ -84,6 +92,9 @@ type matcher struct {
 	// fill an invalid way, so this happens; each one must raise exactly
 	// one checkSet violation and nothing else may.
 	overCap int64
+	// evictions counts the inserts that displaced a valid block, which
+	// only a full set does.
+	evictions int
 }
 
 // overCapNow reports whether the reference holds more counter lines than
@@ -124,6 +135,9 @@ func (m *matcher) apply(i int, o op) {
 		if gv != wv || gok != wok {
 			m.t.Fatalf("op %d %v = %+v,%v, reference %+v,%v", i, o, gv, gok, wv, wok)
 		}
+		if wok {
+			m.evictions++
+		}
 		if placed := !resident && r.Peek(o.block); placed && m.overCapNow() {
 			m.overCap++
 		}
@@ -144,16 +158,15 @@ func (m *matcher) apply(i int, o op) {
 	}
 }
 
-// sameState compares the whole tag store way by way — tags, flags and LRU
-// stamps of every valid way, plus the global stamp — and the occupancy.
+// sameState compares the whole tag store way by way — validity, and the
+// tag and flags of every valid way — then each set's recency order over its
+// valid ways against the reference's stamp order, and the occupancy.
 func (m *matcher) sameState(when string) {
 	m.t.Helper()
 	c, r := m.c, m.r
-	if c.stamp != r.stamp {
-		m.t.Fatalf("%s: stamp %d, reference %d", when, c.stamp, r.stamp)
-	}
 	for w, l := range r.lines {
-		if valid := c.lastUse[w] != 0; valid != l.valid {
+		fps, _ := c.setMeta(uint64(w / c.ways))
+		if valid := byteAt(fps, w%c.ways) != 0; valid != l.valid {
 			m.t.Fatalf("%s: way %d valid=%v, reference %v", when, w, valid, l.valid)
 		}
 		if !l.valid {
@@ -161,14 +174,53 @@ func (m *matcher) sameState(when string) {
 		}
 		f := c.flags[w]
 		got := refLine{tag: c.tags[w], valid: true, dirty: f&flagDirty != 0, kind: addr.Kind(f & flagKind),
-			lastUse: c.lastUse[w], usedForLLCMiss: f&flagUsed != 0}
+			lastUse: l.lastUse, usedForLLCMiss: f&flagUsed != 0}
 		if got != l {
 			m.t.Fatalf("%s: way %d = %+v, reference %+v", when, w, got, l)
+		}
+	}
+	for s := uint64(0); s < c.sets; s++ {
+		if got, want := recencyOrder(c, s), stampOrder(m.t, r, s); !slices.Equal(got, want) {
+			m.t.Fatalf("%s: set %d recency order %v, reference stamp order %v", when, s, got, want)
 		}
 	}
 	if got, want := c.Occupancy(), r.Occupancy(); got != want {
 		m.t.Fatalf("%s: Occupancy = %d, reference %d", when, got, want)
 	}
+}
+
+// recencyOrder lists the valid ways of set s as the Cache orders them,
+// most recently used first.
+func recencyOrder(c *Cache, s uint64) []int {
+	fps, ord := c.setMeta(s)
+	var out []int
+	for p := 0; p < c.ways; p++ {
+		if i := byteAt(ord, p); byteAt(fps, i) != 0 {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// stampOrder lists the valid ways of the reference's set s by descending
+// LRU stamp, most recently used first. The reference gives every fill and
+// hit a fresh stamp, so valid stamps are distinct and the order is total.
+func stampOrder(t *testing.T, r *refCache, s uint64) []int {
+	t.Helper()
+	set := r.lines[s*uint64(r.ways) : (s+1)*uint64(r.ways)]
+	var out []int
+	for i := range set {
+		if set[i].valid {
+			out = append(out, i)
+		}
+	}
+	slices.SortFunc(out, func(a, b int) int { return cmp.Compare(set[b].lastUse, set[a].lastUse) })
+	for k := 1; k < len(out); k++ {
+		if set[out[k]].lastUse == set[out[k-1]].lastUse {
+			t.Fatalf("reference set %d: ways %d and %d share stamp %d", s, out[k-1], out[k], set[out[k]].lastUse)
+		}
+	}
+	return out
 }
 
 // run applies ops in lockstep with a per-sequence invariant recorder
@@ -263,9 +315,9 @@ func randomOps(rng *rand.Rand, g geometry, sets uint64, n int, ctrBias float64) 
 }
 
 // TestCacheMatchesReference runs seeded random call sequences through the
-// structure-of-arrays Cache and the original array-of-structs store and
-// requires identical returns, victims, kind counts, occupancy and per-way
-// state, on every geometry the simulator builds.
+// fingerprinted Cache and the original array-of-structs store and requires
+// identical returns, victims, kind counts, occupancy, per-way state and
+// recency order, on every geometry in matchGeometries.
 func TestCacheMatchesReference(t *testing.T) {
 	for _, g := range matchGeometries {
 		t.Run(g.name, func(t *testing.T) {
@@ -276,6 +328,10 @@ func TestCacheMatchesReference(t *testing.T) {
 				m := newMatcher(t, g)
 				m.run(randomOps(rng, g, m.c.Sets(), 40000, bias))
 				capMax = max(capMax, m.capMax)
+				// LRU victims and the counter cap only act on full sets.
+				if m.evictions == 0 {
+					t.Fatalf("seed %d: no insert evicted, so no set was ever full", seed)
+				}
 			}
 			// The counter-cap path is only exercised once the cap is full.
 			if capLines := int(g.capBytes / addr.BlockBytes); capLines > 0 && capMax < capLines {
@@ -288,15 +344,16 @@ func TestCacheMatchesReference(t *testing.T) {
 // decodeOps turns fuzz bytes into a call sequence, three bytes per op:
 // b0's low three bits select the call (inserts of all three kinds) and its
 // top bit the dirty flag, b1 picks one of 64 sets and whether to mirror the
-// block to the top of the uint64 range, b2 picks one of 64 tags in that
-// set. Block 0 is (0,0,0), ^uint64(0) its mirror.
+// block to the top of the uint64 range, and b2 with b1's bit 6 picks one of
+// 512 tags in that set, enough to overfill a MaxWays set. Block 0 is
+// (0,0,0), ^uint64(0) its mirror.
 func decodeOps(sets uint64, data []byte) []op {
 	const maxOps = 4096
 	n := min(len(data)/3, maxOps)
 	ops := make([]op, n)
 	for i := range ops {
 		b0, b1, b2 := data[3*i], data[3*i+1], data[3*i+2]
-		block := uint64(b1&0x3f)%sets + sets*uint64(b2&0x3f)
+		block := uint64(b1&0x3f)%sets + sets*(uint64(b1&0x40)<<2|uint64(b2))
 		if b1&0x80 != 0 {
 			block = ^block
 		}

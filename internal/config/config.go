@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/addr"
+	"repro/internal/cache"
 	"repro/internal/sim"
 )
 
@@ -306,7 +307,7 @@ func (c *Config) Validate() error {
 // validateCacheGeometry rejects a cache the simulator could not build:
 // every cache is a whole number of sets of 64 B blocks, so its size must be
 // a positive multiple of 64 B times its ways (the LLC's size is the total
-// the slices split).
+// the slices split), and a set holds at most cache.MaxWays ways.
 func (c *Config) validateCacheGeometry() error {
 	for _, g := range []struct {
 		bytes, ways string
@@ -318,8 +319,8 @@ func (c *Config) validateCacheGeometry() error {
 		{"L3Bytes", "L3Ways", c.L3Bytes, c.L3Ways},
 		{"CtrCacheBytes", "CtrCacheWays", c.CtrCacheBytes, c.CtrCacheWays},
 	} {
-		if g.n <= 0 {
-			return fmt.Errorf("config: %s must be positive, got %d", g.ways, g.n)
+		if g.n <= 0 || g.n > cache.MaxWays {
+			return fmt.Errorf("config: %s must be in [1, %d], got %d", g.ways, cache.MaxWays, g.n)
 		}
 		if set := addr.BlockBytes * int64(g.n); g.size <= 0 || g.size%set != 0 {
 			return fmt.Errorf("config: %s must be a positive multiple of %d B (64 B blocks x %s %d), got %d",

@@ -1,9 +1,11 @@
 package config
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/sim"
 )
 
@@ -94,6 +96,33 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		mut(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// TestValidateCapsWays: a set holds at most cache.MaxWays ways. Each cache
+// past the cap, with a size that is still a whole number of sets, is an
+// error naming its ways field; every cache at the cap is accepted.
+func TestValidateCapsWays(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Config, int)
+	}{
+		{"L1Ways", func(c *Config, n int) { c.L1Ways = n }},
+		{"L2Ways", func(c *Config, n int) { c.L2Ways = n }},
+		{"L3Ways", func(c *Config, n int) { c.L3Ways = n }},
+		{"CtrCacheWays", func(c *Config, n int) { c.CtrCacheWays = n }},
+	} {
+		c := Default()
+		tc.set(&c, 2*cache.MaxWays) // 64 KB and up split into 2+ sets of 512 ways
+		err := c.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), fmt.Sprint(cache.MaxWays)) {
+			t.Errorf("%s = %d: Validate() = %v, want an error naming %s and the %d-way cap", tc.field, 2*cache.MaxWays, err, tc.field, cache.MaxWays)
+		}
+		c = Default()
+		tc.set(&c, cache.MaxWays)
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s = %d: %v", tc.field, cache.MaxWays, err)
 		}
 	}
 }

@@ -24,7 +24,13 @@ type morphable struct {
 }
 
 type morphBlock struct {
-	major  uint64
+	major uint64
+	// nz counts the non-zero minors and max is the largest; Increment keeps
+	// both current and a rebase resets them, so deciding whether the block
+	// still fits a format never rescans the minors. They sit next to major,
+	// in the block's first host cache line.
+	nz     int
+	max    uint32
 	minors [128]uint32
 }
 
@@ -48,23 +54,14 @@ const zccPayloadBits = 256
 // uniformBits is the minor width in the uniform format.
 const uniformBits = 3
 
-// representable reports whether the minor population fits some format.
-func representable(minors *[128]uint32) bool {
-	var nz, maxv int
-	for _, v := range minors {
-		if v != 0 {
-			nz++
-			if int(v) > maxv {
-				maxv = int(v)
-			}
-		}
-	}
+// fits reports whether nz non-zero minors, the largest of them maxv, fit
+// some format.
+func fits(nz int, maxv uint32) bool {
 	if maxv < 1<<uniformBits {
 		return true // uniform 3-bit format holds everything
 	}
-	w := bits.Len32(uint32(maxv))
 	// ZCC: k slots of width w must cover all non-zero minors.
-	return nz*w <= zccPayloadBits
+	return nz*bits.Len32(maxv) <= zccPayloadBits
 }
 
 func (m *morphable) Increment(blk uint64, off int, level int) Overflow {
@@ -73,22 +70,20 @@ func (m *morphable) Increment(blk uint64, off int, level int) Overflow {
 		b = &morphBlock{}
 		m.blocks[blk] = b
 	}
-	b.minors[off]++
-	if representable(&b.minors) {
+	v := b.minors[off] + 1
+	b.minors[off] = v
+	if v == 1 {
+		b.nz++
+	}
+	b.max = max(b.max, v)
+	if fits(b.nz, b.max) {
 		return Overflow{}
 	}
 	// Rebase: advance the major counter past every minor so that
 	// (major', 0) is strictly greater than any previously used
 	// (major, minor) pair — counters must never repeat.
-	var maxv uint32
-	for _, v := range b.minors {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	b.major += uint64(maxv) + 1
-	for i := range b.minors {
-		b.minors[i] = 0
-	}
+	b.major += uint64(b.max) + 1
+	b.minors = [128]uint32{}
+	b.nz, b.max = 0, 0
 	return Overflow{Happened: true, ReencryptBlocks: 128, Level: level}
 }
