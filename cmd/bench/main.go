@@ -1,16 +1,16 @@
 // Command bench runs the performance-critical benchmarks — the event-engine
-// micro-benchmarks (prebound vs closure vs the retired container/heap
-// baseline), the telemetry hot path (histogram record/merge/quantile and
-// the flight-recorder interval snapshot), the RMAT graph build every cold
-// graph run pays (on every CPU, and on one worker so the single-thread cost
-// stays on record; their ratio is the speedup at the artifact's cpus), the
-// DRAM channel loop, the cache tag store and the fsim per-reference
-// throughput, the tsim end-to-end throughput (single workload and the
-// 4-core co-run), and one full verification-harness run (check.Run at
-// 2 k references on one goroutine) — and emits one machine-readable JSON
-// artifact. The BENCH_*.json files in the repo root record earlier runs
-// (BENCH_17.json is the newest); CI regenerates the artifact on every
-// push and uploads it for trend inspection.
+// micro-benchmarks (prebound vs closure callbacks, and a full mixed queue),
+// the telemetry hot path (histogram record/quantile and the flight-recorder
+// interval snapshot), the RMAT graph build every cold graph run pays (on
+// every CPU, and on one worker so the single-thread cost stays on record;
+// their ratio is the speedup at the artifact's cpus), the DRAM channel
+// loop, the cache tag store and the fsim per-reference throughput, the
+// tsim end-to-end throughput (single workload and the 4-core co-run), and
+// one full verification-harness run (check.Run at 2 k references on one
+// goroutine) — and emits one machine-readable JSON artifact. The
+// BENCH_*.json files in the repo root record earlier runs (BENCH_17.json
+// is the newest); CI regenerates the artifact on every push and uploads it
+// for trend inspection.
 //
 // Each run also diffs itself against the newest committed BENCH_*.json
 // (override with -baseline): the artifact's "deltas" list carries the
@@ -38,14 +38,13 @@ import (
 )
 
 // suites lists the packages and benchmark selections that feed the
-// artifact. The sim suite carries the legacy baseline pair, so the derived
-// speedups can be computed from one run.
+// artifact.
 var suites = []struct {
 	pkg     string
 	pattern string
 }{
-	{"./internal/sim", "^(BenchmarkEngineTickPrebound|BenchmarkEngineTickClosure|BenchmarkEngineMixedQueue|BenchmarkLegacyEngineTick|BenchmarkLegacyEngineMixedQueue)$"},
-	{"./internal/metrics", "^(BenchmarkHistObserve|BenchmarkHistMerge|BenchmarkHistQuantile|BenchmarkFlightRecord)$"},
+	{"./internal/sim", "^(BenchmarkEngineTickPrebound|BenchmarkEngineTickClosure|BenchmarkEngineMixedQueue)$"},
+	{"./internal/metrics", "^(BenchmarkHistObserve|BenchmarkHistQuantile|BenchmarkFlightRecord)$"},
 	{"./internal/stats", "^BenchmarkFlightRecordSet$"},
 	{"./internal/workload", "^(BenchmarkGraphBuild|BenchmarkGraphBuildSerial)$"},
 	{"./internal/check", "^BenchmarkCheckRun$"},
@@ -79,9 +78,6 @@ type artifact struct {
 	CPUs       int           `json:"cpus"`
 	Count      int           `json:"count"`
 	Benchmarks []benchResult `json:"benchmarks"`
-	// Derived holds ratios the acceptance criteria gate on: the engine
-	// tick and mixed-queue speedups over the container/heap baseline.
-	Derived map[string]float64 `json:"derived"`
 	// Baseline is the prior artifact the deltas below compare against
 	// (the newest BENCH_*.json found, or the -baseline flag), empty when
 	// none was found.
@@ -126,7 +122,6 @@ func main() {
 		GOARCH:    runtime.GOARCH,
 		CPUs:      runtime.NumCPU(),
 		Count:     *count,
-		Derived:   map[string]float64{},
 	}
 	for _, s := range suites {
 		res, err := runSuite(s.pkg, s.pattern, *count)
@@ -136,7 +131,6 @@ func main() {
 		}
 		art.Benchmarks = append(art.Benchmarks, res...)
 	}
-	derive(&art)
 
 	regressed, err := diffBaseline(&art, *baseline, *failAlloc)
 	if err != nil {
@@ -332,29 +326,4 @@ func parseBenchLine(pkg, line string) (benchResult, bool) {
 		}
 	}
 	return r, true
-}
-
-// derive computes the engine speedups over the retired container/heap
-// baseline from whatever runs are present (means across -count repeats).
-func derive(art *artifact) {
-	mean := func(name string) float64 {
-		var sum float64
-		var n int
-		for _, b := range art.Benchmarks {
-			if b.Name == name {
-				sum += b.NsPerOp
-				n++
-			}
-		}
-		if n == 0 {
-			return 0
-		}
-		return sum / float64(n)
-	}
-	if legacy, tick := mean("LegacyEngineTick"), mean("EngineTickPrebound"); legacy > 0 && tick > 0 {
-		art.Derived["engine_tick_speedup_vs_container_heap"] = legacy / tick
-	}
-	if legacy, mixed := mean("LegacyEngineMixedQueue"), mean("EngineMixedQueue"); legacy > 0 && mixed > 0 {
-		art.Derived["engine_mixed_speedup_vs_container_heap"] = legacy / mixed
-	}
 }

@@ -212,19 +212,11 @@ func compareCounters(name string, fst, tst *stats.Set, r diffRule) Result {
 	return passf(PillarDifferential, name, "fsim=%d tsim=%d |Δ|=%d (≤%d)", fv, tv, diff, allow)
 }
 
-// SecmemAgreement drives the functional secure memory and the timing
+// secmemAgreementFor drives the functional secure memory and the timing
 // layer's metadata authority (mc.Home) with the identical update sequence
-// and requires exact agreement of counter state and overflow behaviour,
-// plus functional decrypt/verify correctness on both read paths.
-func SecmemAgreement(opt Options) []Result {
-	opt = opt.withDefaults()
-	var out []Result
-	for _, design := range []config.CounterDesign{config.CtrMono, config.CtrSC64, config.CtrMorphable} {
-		out = append(out, secmemAgreementFor(design, opt)...)
-	}
-	return out
-}
-
+// under one counter design and requires exact agreement of counter state
+// and overflow behaviour, plus functional decrypt/verify correctness on
+// both read paths.
 func secmemAgreementFor(design config.CounterDesign, opt Options) []Result {
 	name := func(rule string) string { return "secmem-" + design.String() + "/" + rule }
 	const dataBytes = 1 << 20

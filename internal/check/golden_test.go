@@ -1,10 +1,12 @@
 package check
 
 import (
-	"encoding/json"
+	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -13,78 +15,52 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // Golden stats snapshots guard cmd/report's inputs: the figure harness
-// reads these counters, so an unnoticed shift here becomes an unnoticed
-// shift in every reproduced figure. Counters must match the snapshot within
-// a small tolerance (exact is intentional overkill while both simulators
-// are deterministic; the slack leaves room for benign modelling tweaks,
-// which must land with a -update of the goldens and a CHANGES.md note).
-
-const (
-	goldenRelTol = 0.05
-	goldenAbsTol = 8
-)
+// reads these counters, accumulators and histograms, so an unnoticed shift
+// here becomes an unnoticed shift in every reproduced figure. The whole
+// StableJSON snapshot must match byte for byte. Both simulators are
+// deterministic, so any difference is a behaviour change, and the
+// repository's "output byte-identical" claims rest on this test: a
+// tolerance would let a change that reorders events or tweaks a model pass
+// as identical. A change meant to move output regenerates the files with
+// -update and says so in CHANGES.md.
 
 func goldenPath(name string) string {
 	return filepath.Join("testdata", name+".golden.json")
 }
 
-func checkGoldenCounters(t *testing.T, name string, st *stats.Set) {
+func checkGolden(t *testing.T, name string, st *stats.Set) {
 	t.Helper()
-	snap := st.Snapshot()
+	got, err := st.Snapshot().StableJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
 	path := goldenPath(name)
 	if *updateGolden {
-		b, err := snap.StableJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("updated %s", path)
 		return
 	}
-	raw, err := os.ReadFile(path)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create)", err)
 	}
-	var want stats.Snapshot
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	for k, wv := range want.Counters {
-		gv, ok := snap.Counters[k]
-		if !ok {
-			t.Errorf("counter %q vanished (golden %d)", k, wv)
-			continue
-		}
-		if !withinTol(gv, wv) {
-			t.Errorf("counter %q = %d, golden %d (tol %.0f%% / %d)", k, gv, wv, goldenRelTol*100, int(goldenAbsTol))
-		}
-	}
-	for k := range snap.Counters {
-		if _, ok := want.Counters[k]; !ok {
-			t.Errorf("new counter %q not in golden (run with -update)", k)
-		}
+	if !bytes.Equal(got, want) {
+		t.Errorf("snapshot differs from %s at %s (run with -update to regenerate)", path, firstDiff(want, got))
 	}
 }
 
-func withinTol(got, want int64) bool {
-	diff := got - want
-	if diff < 0 {
-		diff = -diff
+// firstDiff locates the first line where got departs from want.
+func firstDiff(want, got []byte) string {
+	wl, gl := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	for i := 0; i < len(wl) && i < len(gl); i++ {
+		if wl[i] != gl[i] {
+			return fmt.Sprintf("line %d: golden %q, got %q", i+1, strings.TrimSpace(wl[i]), strings.TrimSpace(gl[i]))
+		}
 	}
-	larger := got
-	if want > larger {
-		larger = want
-	}
-	allow := int64(goldenRelTol * float64(larger))
-	if allow < goldenAbsTol {
-		allow = goldenAbsTol
-	}
-	return diff <= allow
+	return fmt.Sprintf("the end: golden has %d lines, got %d", len(wl), len(gl))
 }
 
 func TestGoldenStats(t *testing.T) {
@@ -103,14 +79,14 @@ func TestGoldenStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGoldenCounters(t, "fsim-"+system, st)
+			checkGolden(t, "fsim-"+system, st)
 		})
 		t.Run("tsim-"+system, func(t *testing.T) {
 			st, err := runTsim(&cfg, tr, opt.Refs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGoldenCounters(t, "tsim-"+system, st)
+			checkGolden(t, "tsim-"+system, st)
 		})
 	}
 }

@@ -174,16 +174,6 @@ func (d *DRAM) Recycle(r *Request) {
 	d.freeReq = r
 }
 
-// QueuePressure reports the read-slot fill fraction of the block's home
-// channel — the MC's overflow engine uses it to throttle re-encryption
-// work (Sec. V) and the hierarchy uses it for backpressure. Pressure is
-// judged by the outstanding-request count (accepted, not yet finished on
-// the pins), a pure function of enqueue and finish events.
-func (d *DRAM) QueuePressure(block uint64) float64 {
-	ch := d.chans[d.mapper.Map(block).Channel]
-	return float64(ch.occ[0]) / float64(d.cfg.readCap)
-}
-
 // Enqueue submits a request. It reports false when the target channel has
 // no free slot; the caller must retry later (the MC models Sec. V's
 // rejection of LLC requests during overflow pressure with this signal).

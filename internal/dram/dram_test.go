@@ -161,22 +161,6 @@ func TestBusyFractionAccumulates(t *testing.T) {
 	}
 }
 
-func TestQueuePressure(t *testing.T) {
-	eng, _, d, _ := testDRAM()
-	if d.QueuePressure(0) != 0 {
-		t.Fatal("fresh DRAM reports pressure")
-	}
-	eng.At(0, func() {
-		for i := 0; i < 64; i++ {
-			d.Enqueue(&Request{Block: uint64(i), Kind: TrafficData})
-		}
-		if d.QueuePressure(0) == 0 {
-			t.Error("pressure not visible while queued")
-		}
-	})
-	eng.Run()
-}
-
 func TestRefreshEventuallyStallsBank(t *testing.T) {
 	eng, st, d, cfg := testDRAM()
 	// Issue reads spread over several refresh intervals; the run must

@@ -105,17 +105,6 @@ func (r *Recorder) Failf(component, format string, args ...interface{}) {
 	}
 }
 
-// Fail records an invariant violation with a fixed message. Like Failf it
-// never panics; use it when there is nothing to format.
-func (r *Recorder) Fail(component, message string) {
-	r.total.Add(1)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.vios) < maxRecorded {
-		r.vios = append(r.vios, Violation{Component: component, Message: message})
-	}
-}
-
 // Check records a violation when cond is false. Prefer the `if r.On()`
 // form at hot sites; Check is for cold paths where brevity wins.
 func (r *Recorder) Check(cond bool, component, format string, args ...interface{}) {
@@ -152,9 +141,6 @@ func On() bool { return std.On() }
 
 // Failf records an invariant violation on the default recorder.
 func Failf(component, format string, args ...interface{}) { std.Failf(component, format, args...) }
-
-// Fail records a fixed-message violation on the default recorder.
-func Fail(component, message string) { std.Fail(component, message) }
 
 // Check records a violation on the default recorder when cond is false.
 func Check(cond bool, component, format string, args ...interface{}) {

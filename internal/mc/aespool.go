@@ -108,7 +108,8 @@ func (p *AESPool) ReserveLow(n int, at sim.Time) sim.Time {
 	return last + p.latency
 }
 
-// Latency reports the per-op latency (used by timeline tooling).
+// Latency reports the per-op latency (the MC controller derives an op's
+// issue time from it).
 func (p *AESPool) Latency() sim.Time { return p.latency }
 
 // Horizon reports the time by which every reserved op will have issued:

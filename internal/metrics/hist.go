@@ -14,8 +14,6 @@
 package metrics
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 	"math/bits"
 )
@@ -135,20 +133,6 @@ func (h *Hist) Quantile(q float64) int64 {
 	return quantile(h.count, h.max, h.buckets[:], q)
 }
 
-// Merge folds o into h element-wise: counts and sums add, the maxima
-// combine. Merging shard histograms is exactly equivalent to observing the
-// union stream into one histogram (the property test pins this).
-func (h *Hist) Merge(o *Hist) {
-	h.count += o.count
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-}
-
 // Reset clears the histogram in place.
 func (h *Hist) Reset() { *h = Hist{} }
 
@@ -221,108 +205,4 @@ func (s HistSnapshot) Mean() float64 {
 // Quantile mirrors Hist.Quantile on the serialized form.
 func (s HistSnapshot) Quantile(q float64) int64 {
 	return quantile(s.Count, s.Max, s.Buckets, q)
-}
-
-// histCodecVersion tags the binary encoding.
-const histCodecVersion = 1
-
-// AppendBinary appends the canonical binary encoding of h to b: a version
-// byte, then count/sum/max as uvarints, then the trailing-zero-trimmed
-// bucket prefix (length plus one uvarint per bucket). The encoding is
-// canonical — Decode of a valid stream re-encodes byte-identically.
-func (h *Hist) AppendBinary(b []byte) []byte {
-	b = append(b, histCodecVersion)
-	b = binary.AppendUvarint(b, uint64(h.count))
-	b = binary.AppendUvarint(b, uint64(h.sum))
-	b = binary.AppendUvarint(b, uint64(h.max))
-	n := NumBuckets
-	for n > 0 && h.buckets[n-1] == 0 {
-		n--
-	}
-	b = binary.AppendUvarint(b, uint64(n))
-	for _, c := range h.buckets[:n] {
-		b = binary.AppendUvarint(b, uint64(c))
-	}
-	return b
-}
-
-// DecodeHist parses a binary-encoded histogram, validating every internal
-// invariant: well-formed varints with no trailing garbage, bucket counts
-// that sum to the sample count, a maximum that is consistent with the
-// populated buckets, and canonical trimming. Merging decoded histograms
-// is therefore always safe.
-func DecodeHist(b []byte) (*Hist, error) {
-	if len(b) == 0 || b[0] != histCodecVersion {
-		return nil, fmt.Errorf("metrics: bad histogram version")
-	}
-	b = b[1:]
-	next := func() (int64, error) {
-		v, n := binary.Uvarint(b)
-		if n <= 0 || v > math.MaxInt64 {
-			return 0, fmt.Errorf("metrics: truncated or oversized varint")
-		}
-		b = b[n:]
-		return int64(v), nil
-	}
-	count, err := next()
-	if err != nil {
-		return nil, err
-	}
-	sum, err := next()
-	if err != nil {
-		return nil, err
-	}
-	max, err := next()
-	if err != nil {
-		return nil, err
-	}
-	n, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if n > NumBuckets {
-		return nil, fmt.Errorf("metrics: %d buckets exceeds geometry (%d)", n, NumBuckets)
-	}
-	h := &Hist{count: count, sum: sum, max: max}
-	var bucketSum int64
-	for i := int64(0); i < n; i++ {
-		c, err := next()
-		if err != nil {
-			return nil, err
-		}
-		h.buckets[i] = c
-		bucketSum += c
-		if bucketSum < 0 {
-			return nil, fmt.Errorf("metrics: bucket counts overflow")
-		}
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("metrics: %d trailing bytes", len(b))
-	}
-	if n > 0 && h.buckets[n-1] == 0 {
-		return nil, fmt.Errorf("metrics: non-canonical trailing zero bucket")
-	}
-	if bucketSum != count {
-		return nil, fmt.Errorf("metrics: bucket counts sum to %d, count says %d", bucketSum, count)
-	}
-	if count == 0 {
-		if sum != 0 || max != 0 {
-			return nil, fmt.Errorf("metrics: empty histogram with sum=%d max=%d", sum, max)
-		}
-		return h, nil
-	}
-	if h.buckets[BucketIndex(max)] == 0 {
-		return nil, fmt.Errorf("metrics: max %d falls in an empty bucket", max)
-	}
-	top := int(n) - 1
-	if max < BucketLo(top) {
-		return nil, fmt.Errorf("metrics: max %d below populated bucket %d", max, top)
-	}
-	if sum < max {
-		return nil, fmt.Errorf("metrics: sum %d below max %d", sum, max)
-	}
-	if max > 0 && count <= math.MaxInt64/max && sum > count*max {
-		return nil, fmt.Errorf("metrics: sum %d exceeds count×max", sum)
-	}
-	return h, nil
 }

@@ -11,7 +11,7 @@ import (
 // WriteSummary renders the per-segment attribution aggregated in st (by a
 // tracer whose Stats sink was st) as a human-readable table: sample count,
 // mean and max per segment, the decrypt overlap split, and the request-mix
-// counters. It is the text half of cmd/trace's output.
+// counters. It is the text half of a traced emccsim run's report.
 func WriteSummary(w io.Writer, st *stats.Set) {
 	fmt.Fprintf(w, "traced requests: %d (%d stores, %d MSHR-merged, %d LLC misses, %d offloaded)\n",
 		st.Counter(stats.ObsReqTraced), st.Counter(stats.ObsReqStore),

@@ -100,8 +100,8 @@ func (s *Scenario) NewFunctional() (*fsim.Sim, error) {
 }
 
 // NewTiming builds (but does not run) the scenario's timing simulator
-// instance, for callers that need to attach instrumentation (cmd/trace)
-// before running. It simulates exactly the configuration the scenario's
+// instance, for callers that need to attach instrumentation (emccsim
+// -trace) before running. It simulates exactly the configuration the scenario's
 // key names.
 func (s *Scenario) NewTiming() (*tsim.Sim, error) {
 	if s.Mode != Timing {

@@ -197,7 +197,8 @@ func (s *Sim) SetFlightRecorder(rec *metrics.Recorder, period sim.Time) {
 	s.recPeriod = period
 }
 
-// Engine exposes the event engine (timeline tooling uses it).
+// Engine exposes the event engine, for callers that read its counters
+// (such as the executed-event count) after a run.
 func (s *Sim) Engine() *sim.Engine { return s.eng }
 
 // Run warms the machine, executes the workload to completion and
