@@ -1,8 +1,8 @@
 // Command lint runs the project's static-analysis suite (internal/
-// analysis) over the module: statskey (stats-key registry discipline),
-// detlint (determinism of golden-compared output), obsnil (nil-safe tracer
-// call sites), invgate (inv.Failf behind inv.On()) and allocpin (no heap
-// allocation reachable from the 0-alloc hot paths).
+// analysis) over the module, four per-package passes: statskey (stats-key
+// registry discipline), detlint (determinism of golden-compared output),
+// obsnil (nil-safe tracer call sites) and invgate (inv.Failf behind
+// inv.On()).
 //
 // Usage:
 //

@@ -77,31 +77,15 @@ type pass interface {
 	run(ctx *context, pkg *Package)
 }
 
-// modulePass is one analysis over the whole module at once — the
-// interprocedural passes, which reason over the shared call graph and
-// filter their own reporting to pattern-selected packages.
-type modulePass interface {
-	name() string
-	runModule(ctx *context)
-}
-
 // per-package passes in reporting order.
 func allPasses() []pass {
-	return []pass{statskey{}, detlint{}, obsnil{}}
-}
-
-// interprocedural passes, run once after the per-package passes.
-func allModulePasses() []modulePass {
-	return []modulePass{invgate{}, allocpin{}}
+	return []pass{statskey{}, detlint{}, obsnil{}, invgate{}}
 }
 
 // Passes lists the pass names the driver runs, in order.
 func Passes() []string {
 	var names []string
 	for _, p := range allPasses() {
-		names = append(names, p.name())
-	}
-	for _, p := range allModulePasses() {
 		names = append(names, p.name())
 	}
 	return names
@@ -130,12 +114,6 @@ type context struct {
 	// dynamicKey: file -> lines annotated //lint:dynamic-key.
 	dynamicKey map[string]map[int]bool
 
-	// graph is the whole-module call graph shared by the interprocedural
-	// passes (invgate, allocpin).
-	graph *CallGraph
-	// escapes is the compiler's escape-analysis fact set (allocpin).
-	escapes *escapeSet
-
 	// patterns is the package selection for this run; findings are only
 	// reported for matching packages.
 	patterns []string
@@ -156,25 +134,18 @@ type ignoreMarker struct {
 // reportf records a finding at pos unless suppressed.
 func (ctx *context) reportf(pass string, pos token.Pos, format string, args ...interface{}) {
 	p := ctx.mod.Fset.Position(pos)
-	ctx.reportAt(pass, p.Filename, p.Line, format, args...)
-}
-
-// reportAt records a finding by file and line unless suppressed — the
-// position-free form for facts that come from outside the AST (allocpin's
-// compiler diagnostics).
-func (ctx *context) reportAt(pass, file string, line int, format string, args ...interface{}) {
-	if lines := ctx.suppress[file]; lines != nil {
-		if m := lines[line][pass]; m != nil {
+	if lines := ctx.suppress[p.Filename]; lines != nil {
+		if m := lines[p.Line][pass]; m != nil {
 			m.used = true
 			return
 		}
-		if m := lines[line-1][pass]; m != nil {
+		if m := lines[p.Line-1][pass]; m != nil {
 			m.used = true
 			return
 		}
 	}
 	ctx.findings = append(ctx.findings, Finding{
-		File: file, Line: line, Pass: pass, Msg: fmt.Sprintf(format, args...),
+		File: p.Filename, Line: p.Line, Pass: pass, Msg: fmt.Sprintf(format, args...),
 	})
 }
 
@@ -226,11 +197,6 @@ func Run(root string, patterns ...string) (*Result, error) {
 	ctx.collectRegistry()
 	ctx.collectNilSafe()
 	ctx.indexKeyUses()
-	ctx.graph = buildCallGraph(mod)
-	ctx.escapes, err = loadEscapes(root)
-	if err != nil {
-		return nil, fmt.Errorf("escape analysis: %w", err)
-	}
 
 	for _, pkg := range mod.Pkgs {
 		if !matchAny(pkg.Rel, patterns) {
@@ -239,9 +205,6 @@ func Run(root string, patterns ...string) (*Result, error) {
 		for _, p := range allPasses() {
 			p.run(ctx, pkg)
 		}
-	}
-	for _, p := range allModulePasses() {
-		p.runModule(ctx)
 	}
 	ctx.auditSuppressions()
 

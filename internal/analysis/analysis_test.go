@@ -24,20 +24,8 @@ func fixtureRun(t *testing.T, patterns ...string) *Result {
 // module: every positive case yields its one finding, and nothing in
 // good/, the stub packages, or the blessed figures patterns leaks one.
 func TestFixtureFindings(t *testing.T) {
-	const allocpinSuffix = " — hoist it to binding time, pool it, or annotate why it cannot run per-event"
-	const invgateSuffix = " is not dominated by an inv.On() check on any call path (guard the site or every caller with `if inv.On()` so disabled runs pay one branch)"
+	const invgateSuffix = " is not dominated by an inv.On() check (wrap the site in `if inv.On()` so disabled runs pay one branch)"
 	want := []string{
-		"allocbad/allocbad.go:36: [allocpin] heap allocation on the pinned 0-alloc hot path: new(payload) escapes to heap (in allocbad.SetupInline$lit@35; path: allocbad.SetupInline$lit@35)" + allocpinSuffix,
-		"allocbad/allocbad.go:42: [allocpin] heap allocation on the pinned 0-alloc hot path: &payload{} escapes to heap (in allocbad.reqCB; path: allocbad.reqCB)" + allocpinSuffix,
-		"allocbad/allocbad.go:48: [allocpin] heap allocation on the pinned 0-alloc hot path: v * int64(2) escapes to heap (in allocbad.boxCB; path: allocbad.boxCB)" + allocpinSuffix,
-		"allocbad/allocbad.go:54: [allocpin] heap allocation on the pinned 0-alloc hot path: buf escapes to heap (in allocbad.chainCB; path: allocbad.chainCB)" + allocpinSuffix,
-		"allocbad/allocbad.go:54: [allocpin] heap allocation on the pinned 0-alloc hot path: make([]int64, 9) escapes to heap (in allocbad.chainCB; path: allocbad.chainCB)" + allocpinSuffix,
-		"allocbad/allocbad.go:58: [allocpin] heap allocation on the pinned 0-alloc hot path: make([]int64, 9) escapes to heap (in allocbad.grow; path: allocbad.chainCB -> allocbad.grow)" + allocpinSuffix,
-		"allocbad/allocbad.go:59: [allocpin] heap allocation on the pinned 0-alloc hot path: buf escapes to heap (in allocbad.grow; path: allocbad.chainCB -> allocbad.grow)" + allocpinSuffix,
-		"allocbad/allocbad.go:66: [allocpin] heap allocation on the pinned 0-alloc hot path: moved to heap: n (in allocbad.closureCB; path: allocbad.closureCB)" + allocpinSuffix,
-		"allocbad/allocbad.go:67: [allocpin] heap allocation on the pinned 0-alloc hot path: func literal escapes to heap (in allocbad.closureCB; path: allocbad.closureCB)" + allocpinSuffix,
-		"allocbad/allocbad.go:73: [allocpin] heap allocation on the pinned 0-alloc hot path: moved to heap: v (in allocbad.statCB; path: allocbad.statCB)" + allocpinSuffix,
-		"allocbad/allocbad.go:92: [allocpin] heap allocation on the pinned 0-alloc hot path: &payload{} escapes to heap (in allocbad.seamCB; path: allocbad.seamCB)" + allocpinSuffix,
 		`bad/bad.go:15: [statskey] unregistered stats key "fixture/unregistered" (declare it in internal/stats/keys.go)`,
 		`bad/bad.go:21: [statskey] stats key passed to Add does not resolve to a compile-time constant (register it in internal/stats/keys.go, or annotate the site //lint:dynamic-key if the family is dynamic by design)`,
 		"bad/bad.go:27: [invgate] inv.Failf" + invgateSuffix,
@@ -54,9 +42,9 @@ func TestFixtureFindings(t *testing.T) {
 		`internal/figures/figures.go:24: [detlint] iteration over a map reaches output (fmt.Println at line 25) without an intervening sort; collect and sort the keys first`,
 		`internal/figures/figures.go:51: [detlint] iteration over a map reaches output (fmt.Println at line 53) only through a nested map iteration; the outer order is nondeterministic too — sort the keys at every level`,
 		`internal/figures/figures.go:52: [detlint] iteration over a map reaches output (fmt.Println at line 53) without an intervening sort; collect and sort the keys first`,
-		"invflow/invflow.go:33: [invgate] inv.Failf" + invgateSuffix,
-		`invflow/invflow.go:39: [invgate] inv.Failf taken as a function value escapes the inv.On() gating discipline (call it directly under a guard)`,
-		`invflow/invflow.go:45: [invgate] inv.Fail taken as a function value escapes the inv.On() gating discipline (call it directly under a guard)`,
+		"invflow/invflow.go:13: [invgate] inv.Failf" + invgateSuffix,
+		`invflow/invflow.go:26: [invgate] inv.Failf taken as a function value escapes the inv.On() gating discipline (call it directly under a guard)`,
+		`invflow/invflow.go:32: [invgate] inv.Fail taken as a function value escapes the inv.On() gating discipline (call it directly under a guard)`,
 		`suppress/suppress.go:17: [lint] unused suppression: no invgate finding here — remove the //lint:ignore or restore the violation it documented`,
 	}
 	res := fixtureRun(t)
@@ -76,9 +64,8 @@ func TestFixtureFindings(t *testing.T) {
 
 // TestFixtureOneDiagnosticPerCase asserts the acceptance cases each
 // yield exactly one diagnostic: an unregistered stats key, a time.Now in
-// internal/figures, an unguarded inv.Failf, a closure allocated inside a
-// registered callback, an allocation in a callback registered through
-// an interface, a fail function taken as a value, and a stale
+// internal/figures, an unguarded inv.Failf, a bare inv.Failf whose only
+// caller guards, a fail function taken as a value, and a stale
 // suppression.
 func TestFixtureOneDiagnosticPerCase(t *testing.T) {
 	res := fixtureRun(t)
@@ -98,17 +85,11 @@ func TestFixtureOneDiagnosticPerCase(t *testing.T) {
 		{"unguarded recorder-method Failf", func(f Finding) bool {
 			return f.Pass == "invgate" && strings.Contains(f.Msg, "inv.Failf") && f.Line == 64
 		}},
-		{"bare Failf behind an unguarded caller", func(f Finding) bool {
-			return f.Pass == "invgate" && f.File == "invflow/invflow.go" && f.Line == 33
+		{"bare Failf behind a guarding caller", func(f Finding) bool {
+			return f.Pass == "invgate" && f.File == "invflow/invflow.go" && f.Line == 13
 		}},
 		{"inv.Failf taken as a value", func(f Finding) bool {
-			return f.Pass == "invgate" && f.File == "invflow/invflow.go" && f.Line == 39
-		}},
-		{"closure allocated inside a registered callback", func(f Finding) bool {
-			return f.Pass == "allocpin" && f.File == "allocbad/allocbad.go" && f.Line == 67
-		}},
-		{"interface-seam registration roots the callback", func(f Finding) bool {
-			return f.Pass == "allocpin" && f.File == "allocbad/allocbad.go" && f.Line == 92
+			return f.Pass == "invgate" && f.File == "invflow/invflow.go" && f.Line == 26
 		}},
 		{"stale suppression audited", func(f Finding) bool {
 			return f.Pass == "lint" && f.File == "suppress/suppress.go" && strings.Contains(f.Msg, "unused suppression")
@@ -123,20 +104,6 @@ func TestFixtureOneDiagnosticPerCase(t *testing.T) {
 		}
 		if n != 1 {
 			t.Errorf("%s: %d diagnostics, want exactly 1", c.name, n)
-		}
-	}
-	// The interprocedural negative the old intraprocedural invgate could
-	// not accept: checkDeep's bare Failf at invflow/invflow.go:14 is
-	// guarded by its only caller and must stay silent.
-	for _, f := range res.Findings {
-		if f.File == "invflow/invflow.go" && f.Line == 14 {
-			t.Errorf("guarded-caller negative flagged: %s", f.String())
-		}
-	}
-	// Sanctioned-form packages must stay finding-free.
-	for _, f := range res.Findings {
-		if strings.HasPrefix(f.File, "allocgood/") || strings.HasPrefix(f.File, "cycle/") {
-			t.Errorf("negative package leaked finding: %s", f.String())
 		}
 	}
 }

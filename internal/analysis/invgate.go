@@ -19,12 +19,9 @@ import (
 //	if !inv.On() { return }; ...; inv.Failf(...)    // early return
 //	if rec := x.rec; rec.On() { rec.Failf(...) }    // recorder-method form
 //
-// The pass is interprocedural: a helper whose Failf sites are bare is
-// still clean when every call path into the helper crosses an inv.On()
-// guard — the call graph's unguarded-reach set (see unguardedReach)
-// decides. inv.On() is time-invariant within a run, so a callback
-// registered under a guard is guarded for its whole lifetime, which is
-// why callback-registration edges carry the registration site's guard.
+// The guard must dominate the site itself: a helper whose Failf is bare
+// is a finding even when every caller guards, because the rule has to
+// hold for the next caller too.
 //
 // Taking inv.Failf / inv.Fail as a function value is always a finding:
 // once the value escapes, no static analysis can keep the invocation
@@ -35,41 +32,30 @@ type invgate struct{}
 
 func (invgate) name() string { return "invgate" }
 
-func (invgate) runModule(ctx *context) {
-	unguarded := ctx.graph.unguardedReach()
-	for _, pkg := range ctx.mod.Pkgs {
-		if pathIs(pkg.Path, "internal/inv") || !matchAny(pkg.Rel, ctx.patterns) {
-			continue
-		}
-		info := pkg.Info
-		guards := collectGuardVars(pkg)
-		walkStack(pkg, func(n ast.Node, stack []ast.Node) {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				fn := funcObj(info, n)
-				if !isInvFail(fn) {
-					return
-				}
-				if guardedByOn(info, guards, stack) {
-					return
-				}
-				// Bare at the site — clean only if every call path into
-				// the enclosing function is itself guarded.
-				if encl := ctx.graph.enclosingNode(pkg, stack); encl != nil && !unguarded[encl] {
-					return
-				}
-				ctx.reportf("invgate", n.Pos(),
-					"inv.%s is not dominated by an inv.On() check on any call path (guard the site or every caller with `if inv.On()` so disabled runs pay one branch)", fn.Name())
-			case *ast.Ident:
-				fn, _ := info.Uses[n].(*types.Func)
-				if !isInvFail(fn) || inCallPosition(n, stack) {
-					return
-				}
-				ctx.reportf("invgate", n.Pos(),
-					"inv.%s taken as a function value escapes the inv.On() gating discipline (call it directly under a guard)", fn.Name())
-			}
-		})
+func (invgate) run(ctx *context, pkg *Package) {
+	if pathIs(pkg.Path, "internal/inv") {
+		return
 	}
+	info := pkg.Info
+	guards := collectGuardVars(pkg)
+	walkStack(pkg, func(n ast.Node, stack []ast.Node) {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			fn := funcObj(info, n)
+			if !isInvFail(fn) || guardedByOn(info, guards, stack) {
+				return
+			}
+			ctx.reportf("invgate", n.Pos(),
+				"inv.%s is not dominated by an inv.On() check (wrap the site in `if inv.On()` so disabled runs pay one branch)", fn.Name())
+		case *ast.Ident:
+			fn, _ := info.Uses[n].(*types.Func)
+			if !isInvFail(fn) || inCallPosition(n, stack) {
+				return
+			}
+			ctx.reportf("invgate", n.Pos(),
+				"inv.%s taken as a function value escapes the inv.On() gating discipline (call it directly under a guard)", fn.Name())
+		}
+	})
 }
 
 // isInvFail reports whether fn is internal/inv's Failf or Fail (package
@@ -81,23 +67,32 @@ func isInvFail(fn *types.Func) bool {
 	return fn.Name() == "Failf" || fn.Name() == "Fail"
 }
 
-// unguardedReach computes the set of functions reachable with invariants
-// possibly disabled: entry points (nodes with no known callers — main,
-// exported API, test-only helpers) plus everything reachable from them
-// over unguarded edges. Indirect edges are not followed: invoking a
-// function value is only possible after the value was taken, and the
-// value-taking edge (kind callback) already carries the taking site's
-// guard — inv.On() cannot change between registration and invocation.
-func (g *CallGraph) unguardedReach() map[*CGNode]bool {
-	var roots []*CGNode
-	for _, n := range g.Nodes() {
-		if len(n.In) == 0 {
-			roots = append(roots, n)
+// inCallPosition reports whether expr (possibly wrapped in the selector or
+// parens directly above it on the stack) is the Fun of an enclosing call —
+// i.e. a plain invocation rather than a value use.
+func inCallPosition(expr ast.Expr, stack []ast.Node) bool {
+	top := expr
+	i := len(stack) - 1
+	for ; i >= 0; i-- {
+		switch parent := stack[i].(type) {
+		case *ast.SelectorExpr:
+			// Only the Sel side continues the callable expression; an
+			// ident on the X side (package qualifier, receiver) is never
+			// itself the called value.
+			if parent.Sel != top {
+				return false
+			}
+			top = parent
+			continue
+		case *ast.ParenExpr:
+			top = parent
+			continue
+		case *ast.CallExpr:
+			return ast.Unparen(parent.Fun) == ast.Unparen(top)
 		}
+		return false
 	}
-	return g.Reachable(roots, func(e *CGEdge) bool {
-		return e.Kind != EdgeIndirect && !e.Guarded
-	})
+	return false
 }
 
 // collectGuardVars finds local variables bound to an inv.On() result

@@ -34,16 +34,6 @@ type Module struct {
 	Pkgs []*Package
 }
 
-// PkgByRel returns the package at the module-relative directory, or nil.
-func (m *Module) PkgByRel(rel string) *Package {
-	for _, p := range m.Pkgs {
-		if p.Rel == rel {
-			return p
-		}
-	}
-	return nil
-}
-
 // LoadModule parses and type-checks every non-test package under root
 // (the directory holding go.mod) using only the standard library: module
 // packages are resolved from the parsed set, everything else is treated

@@ -1,14 +1,13 @@
-// Package invflow pins the interprocedural invgate cases: a bare-Failf
-// helper whose every caller guards (clean — the old intraprocedural pass
-// flagged it), the same shape with an unguarded path (finding), and
-// value uses of the fail functions (findings the old pass could not see).
+// Package invflow pins the invgate cases a caller's guard does not
+// change: a bare Failf in a helper whose only caller guards (finding —
+// the guard must dominate the site itself), and value uses of the fail
+// functions (findings — no call site is left to guard).
 package invflow
 
 import "fixture/internal/inv"
 
-// checkDeep keeps its Failf bare: its only caller crosses inv.On(), so
-// the call-graph analysis accepts what a per-function analysis could
-// not.
+// checkDeep keeps its Failf bare: its only caller crosses inv.On(), but
+// that guard does not dominate the site, so the site is a finding.
 func checkDeep(n int) {
 	if n < 0 {
 		inv.Failf("invflow", "negative %d", n)
@@ -19,18 +18,6 @@ func checkDeep(n int) {
 func Audit(n int) {
 	if inv.On() {
 		checkDeep(n)
-	}
-}
-
-// Leak reaches checkUnsafe with no guard on any path: the bare Failf
-// inside is a finding even though Leak itself never mentions inv.
-func Leak(n int) {
-	checkUnsafe(n)
-}
-
-func checkUnsafe(n int) {
-	if n < 0 {
-		inv.Failf("invflow", "unguarded path %d", n)
 	}
 }
 

@@ -165,9 +165,6 @@ func (c *Cache) SetCounterCap(capBytes int64) {
 // Name reports the cache's label.
 func (c *Cache) Name() string { return c.name }
 
-// Ways reports associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 // Sets reports the number of sets.
 func (c *Cache) Sets() uint64 { return c.sets }
 

@@ -140,6 +140,3 @@ func (s *sc64) Increment(blk uint64, off int, level int) Overflow {
 	}
 	return Overflow{Happened: true, ReencryptBlocks: 64, Level: level}
 }
-
-// blockCount is exposed for tests.
-func (s *sc64) blockCount() int { return len(s.blocks) }

@@ -39,14 +39,15 @@ func TestWritebacksGenerateCounterWrites(t *testing.T) {
 
 func TestSC64OverflowsMoreThanMorphable(t *testing.T) {
 	// SC-64's 7-bit minors overflow long before Morphable's formats give
-	// up under the same write stream.
-	small := func(c *config.Config) { c.L3Bytes = 512 << 10; c.L2Bytes = 128 << 10; c.L1Bytes = 16 << 10 }
-	sc := run(t, func(c *config.Config) { small(c); c.Counter = config.CtrSC64 }, "canneal", 600_000)
-	mo := run(t, small, "canneal", 600_000)
+	// up under the same write stream. Caches this small send BFS's
+	// writebacks to DRAM often enough for minors to wrap at TestScale.
+	tiny := func(c *config.Config) { c.L3Bytes = 64 << 10; c.L2Bytes = 16 << 10; c.L1Bytes = 4 << 10 }
+	sc := run(t, func(c *config.Config) { tiny(c); c.Counter = config.CtrSC64 }, "BFS", 600_000)
+	mo := run(t, tiny, "BFS", 600_000)
 	scOvf := sc.Stats().Counter(stats.FsimDRAMOvfL0)
 	moOvf := mo.Stats().Counter(stats.FsimDRAMOvfL0)
 	if scOvf == 0 {
-		t.Skip("no SC-64 overflow at this scale")
+		t.Fatal("no SC-64 overflow: the test no longer reaches the overflow path")
 	}
 	if moOvf > scOvf {
 		t.Fatalf("morphable overflowed more than sc64: %d vs %d", moOvf, scOvf)

@@ -50,9 +50,6 @@ func (t *Tree) SetRecorder(r *inv.Recorder) { t.rec = inv.Or(r) }
 // Space exposes the address map (for geometry queries).
 func (t *Tree) Space() *addr.Space { return t.space }
 
-// Org exposes the counter organisation.
-func (t *Tree) Org() ctr.Organisation { return t.org }
-
 // childSlot locates a block inside its parent: parent block index and the
 // child offset within it. ok is false for the root.
 func (t *Tree) childSlot(block uint64) (parent uint64, off int, ok bool) {

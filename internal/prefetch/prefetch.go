@@ -43,9 +43,6 @@ func New(tableSize, degree int) *Prefetcher {
 	}
 }
 
-// Degree reports the configured prefetch degree.
-func (p *Prefetcher) Degree() int { return p.degree }
-
 // Observe feeds one demand-accessed block index and returns the blocks to
 // prefetch (nil when no stride is confirmed). The returned slice is only
 // valid until the next call.

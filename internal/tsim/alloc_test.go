@@ -14,8 +14,8 @@ import (
 // The allocation-free steady-state contract: once caches are warm and the
 // request pools have reached their high-water mark, dispatching events
 // through the prebound-callback machinery allocates nothing. The
-// counter-free designs ride that machinery (pooled readReq, prebound
-// bipbipArrivedCB/completePlainMCCB chains), so they must keep both pins.
+// secure-memory designs ride that machinery too (pooled readReq, boxed
+// seam payloads on a freelist, prebound MC and cipher chains).
 
 // steadyStateAllocs reaches steady state (warmup + 1 ms of timed
 // execution on a cache-resident working set) and measures allocations per
@@ -40,16 +40,24 @@ func steadyStateAllocs(t *testing.T, mutate func(*config.Config)) float64 {
 	return testing.AllocsPerRun(50, func() { s.eng.RunFor(sim.Microsecond * 10) })
 }
 
-// TestCounterFreeSteadyStateZeroAllocs pins AllocsPerRun == 0 for the new
-// designs' steady-state event loop, alongside the non-secure control.
-func TestCounterFreeSteadyStateZeroAllocs(t *testing.T) {
+// TestSteadyStateZeroAllocs pins AllocsPerRun == 0 for the steady-state
+// event loop of each secure-memory design, with the non-secure control.
+// The smallLLC rows keep the counter designs' DRAM-bound miss leg busy.
+// Mono is left out: its sparse counter map allocates on first touch of
+// each counter block (ctr.(*mono).Increment), so it never settles at 0.
+func TestSteadyStateZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		mutate func(*config.Config)
 	}{
 		{"non-secure", func(c *config.Config) { c.Counter = config.CtrNone; c.CountersInLLC = false }},
+		{"morphable", func(*config.Config) {}},
+		{"emcc", func(c *config.Config) { c.EMCC = true }},
+		{"sc64", func(c *config.Config) { c.Counter = config.CtrSC64 }},
 		{"bipbip", bipbipCfg},
 		{"insram", insramCfg},
+		{"morphable-smallLLC", smallLLC},
+		{"emcc-smallLLC", func(c *config.Config) { c.EMCC = true; smallLLC(c) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if allocs := steadyStateAllocs(t, tc.mutate); allocs != 0 {
@@ -116,7 +124,8 @@ func TestCounterFreeModesAddNoAllocsOverBaseline(t *testing.T) {
 // reused Spans backing arrays), the preallocated top-N table and bound
 // histogram cells are what make this hold.
 func TestTracedWithHistogramsSteadyStateZeroAllocs(t *testing.T) {
-	cfg := config.Default() // emcc default: both lanes active
+	cfg := config.Default()
+	cfg.EMCC = true // both lanes active
 	s, err := New(&cfg, Options{
 		Benchmark: "canneal", Cores: 2, Seed: 3, Refs: 50_000_000, Warmup: 200_000,
 		Scale: workload.TestScale(),

@@ -577,7 +577,6 @@ func (l *l2Ctl) spillVictim(v cache.Victim) {
 		p |= 1
 	}
 	g := s.slices[j]
-	//lint:ignore allocpin u64box freelist growth: box allocates only until the freelist covers the run's in-flight messages; steady state recycles through unbox
 	l.toSlice[j].send(s.eng.Now()+s.oneway(l.tile, g.tile), g.insertDataCB, s.box(p))
 }
 

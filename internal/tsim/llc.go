@@ -173,7 +173,6 @@ func (g *llcSlice) insert(block uint64, dirty bool, kind addr.Kind) {
 		cb = s.mc.wbMetaCB
 	}
 	mcTile := s.mesh.MCTile(s.mesh.MCOf(v.Block))
-	//lint:ignore allocpin u64box freelist growth: box allocates only until the freelist covers the run's in-flight messages; steady state recycles through unbox
 	g.toMC.send(s.eng.Now()+s.oneway(g.tile, mcTile), cb, s.box(v.Block))
 }
 

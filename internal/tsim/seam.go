@@ -79,7 +79,6 @@ func (s *Sim) box(v uint64) *u64box {
 		b.v = v
 		return b
 	}
-	//lint:ignore allocpin u64box freelist growth: box allocates only until the freelist covers the run's in-flight messages; steady state recycles through unbox
 	return &u64box{v: v}
 }
 
