@@ -1,5 +1,6 @@
 // Command bench runs the performance-critical benchmarks — the event-engine
-// micro-benchmarks (prebound vs closure callbacks, and a full mixed queue),
+// micro-benchmarks (prebound vs closure callbacks, a full mixed queue, and
+// the queue at the depth and with the mix of events the simulators run),
 // the telemetry hot path (histogram record/quantile and the flight-recorder
 // interval snapshot), the RMAT graph build every cold graph run pays (on
 // every CPU, and on one worker so the single-thread cost stays on record;
@@ -8,7 +9,7 @@
 // tsim end-to-end throughput (single workload and the 4-core co-run), and
 // one full verification-harness run (check.Run at 2 k references on one
 // goroutine) — and emits one machine-readable JSON artifact. The
-// BENCH_*.json files in the repo root record earlier runs (BENCH_17.json
+// BENCH_*.json files in the repo root record earlier runs (BENCH_20.json
 // is the newest); CI regenerates the artifact on every push and uploads it
 // for trend inspection.
 //
@@ -43,7 +44,7 @@ var suites = []struct {
 	pkg     string
 	pattern string
 }{
-	{"./internal/sim", "^(BenchmarkEngineTickPrebound|BenchmarkEngineTickClosure|BenchmarkEngineMixedQueue)$"},
+	{"./internal/sim", "^(BenchmarkEngineTickPrebound|BenchmarkEngineTickClosure|BenchmarkEngineMixedQueue|BenchmarkEngineQueueDepth32)$"},
 	{"./internal/metrics", "^(BenchmarkHistObserve|BenchmarkHistQuantile|BenchmarkFlightRecord)$"},
 	{"./internal/stats", "^BenchmarkFlightRecordSet$"},
 	{"./internal/workload", "^(BenchmarkGraphBuild|BenchmarkGraphBuildSerial)$"},

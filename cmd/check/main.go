@@ -3,10 +3,12 @@
 // invariant-instrumented simulation runs. It prints one line per check and
 // exits non-zero if any fail.
 //
-// The units of all three pillars fan out across -parallel goroutines
-// (default: GOMAXPROCS). They share one recorded trace and a memo that
-// simulates each distinct replay of it once for every unit that needs it;
-// invariant-recorded and traced runs stay private to their unit.
+// The units of all three pillars run on -parallel workers (default:
+// GOMAXPROCS). They share one recorded trace and a memo that simulates
+// each distinct replay of it once for every unit that needs it;
+// invariant-recorded and traced runs stay private to their unit. The
+// workers first run tsim-channel-qdelay's two replays of its own heavier
+// trace, the longest tasks, and then take the units in report order.
 // Parallelism changes only the wall-clock time, never the report. -quick
 // records a trace of half the reference budget and replays all of it.
 //

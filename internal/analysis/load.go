@@ -19,7 +19,6 @@ type Package struct {
 	Path string
 	// Rel is the module-relative directory ("" for the module root).
 	Rel   string
-	Dir   string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -88,7 +87,7 @@ func LoadModule(root string) (*Module, error) {
 		if rel != "" {
 			imp = modPath + "/" + rel
 		}
-		pkgs[imp] = &Package{Path: imp, Rel: rel, Dir: path, Files: files}
+		pkgs[imp] = &Package{Path: imp, Rel: rel, Files: files}
 		return nil
 	})
 	if err != nil {
@@ -205,7 +204,6 @@ func (c *moduleChecker) check(path string, _ []string) error {
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
 	}
 	var firstErr error
 	conf := types.Config{

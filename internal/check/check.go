@@ -31,6 +31,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -75,7 +76,7 @@ type Options struct {
 	Cores int
 	// Quick halves the reference budget (cmd/check -quick).
 	Quick bool
-	// Parallel is the number of check units Run executes concurrently
+	// Parallel is the number of workers Run executes its check units on
 	// (0 or 1 = serial). Units share only the recorded trace and Run's
 	// memo of replays, which computes each entry once and then only
 	// hands it out to be read, so parallelism never changes any result —
@@ -107,14 +108,17 @@ func (o Options) withDefaults() Options {
 }
 
 // Run executes every pillar and returns all results. The units —
-// differential, metamorphic and invariant alike — fan out across
-// opt.Parallel goroutines over one read-only recorded trace. They share
-// one thing besides it: a per-Run simMemo that simulates each distinct
-// replay of that trace once and hands the same read-only result to every
-// unit that asks for it. Everything else a unit runs — invariant-recorded
-// and traced runs among them — it builds and owns outright. Results land
-// in fixed slots, so the report order — and with deterministic simulators,
-// every byte of it — is identical at any parallelism.
+// differential, metamorphic and invariant alike — run on opt.Parallel
+// workers over one read-only recorded trace. They share one thing besides
+// it: a per-Run simMemo that simulates each distinct replay of that trace
+// (and of channelQueueing's heavier one) once and hands the same
+// read-only result to every unit that asks for it. Everything else a unit
+// runs — invariant-recorded and traced runs among them — it builds and
+// owns outright. The workers first fill channelQueueing's two replays,
+// the Run's longest tasks, so they do not start last and finish after
+// everything else; then they take the units in list order. Results land
+// in fixed slots, so the report order — and with deterministic
+// simulators, every byte of it — is identical at any parallelism.
 func Run(opt Options) []Result {
 	rs, _ := run(opt)
 	return rs
@@ -128,23 +132,40 @@ func run(opt Options) ([]Result, *simMemo) {
 	if m.err != nil {
 		return []Result{failf(PillarDifferential, "record-trace", "%v", m.err)}, nil
 	}
+	m.channels = recordMemo(channelOptions(opt))
 	units := append(diffUnits(m), metamorphicUnits(m)...)
 	units = append(units, invariantUnits(m.tr, opt)...)
 	slots := make([][]Result, len(units))
+	// The first two tasks fill channelQueueing's replays, the Run's
+	// longest; a replay's error is left for the unit that reads it. The
+	// second to finish releases their 120 k-reference trace, which would
+	// otherwise stay live, and raise peak memory, for the rest of the Run.
+	var filled atomic.Int32
+	var tasks []func()
+	for _, channels := range []int{1, 4} {
+		tasks = append(tasks, func() {
+			m.channels.replay(channelConfig(channels))
+			if filled.Add(1) == 2 {
+				m.channels.release()
+			}
+		})
+	}
+	for i, unit := range units {
+		tasks = append(tasks, func() { slots[i] = unit() })
+	}
 	workers := opt.Parallel
 	if workers < 1 {
 		workers = 1
 	}
-	sem := make(chan struct{}, workers)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, unit := range units {
-		i, unit := i, unit
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			slots[i] = unit()
+			for i := next.Add(1) - 1; i < int64(len(tasks)); i = next.Add(1) - 1 {
+				tasks[i]()
+			}
 		}()
 	}
 	wg.Wait()

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -16,13 +17,16 @@ import (
 // of that trace once. The differential replay, the AES and in-SRAM
 // monotonicity runs, bipbip knob invariance and channel-qdelay dominance
 // all ask it for their runs by config, so a config several of them need
-// is simulated once and read by all of them.
+// is simulated once and read by all of them. channelQueueing's heavier
+// trace has a memo of its own, channels, which Run fills first.
 //
 // Only plain replays are shared: runs with a recorder, tracer or flight
-// recorder attached, runs with a warm-up or a synthetic workload, and
-// ChannelQueueing's own trace build their simulators outright. A memo
-// lives for one Run or one standalone pillar call.
+// recorder attached, and runs with a warm-up or a synthetic workload,
+// build their simulators outright. A memo lives for one Run or one
+// standalone pillar call.
 type simMemo struct {
+	// tr is the recorded trace. release sets it to nil under mu, which
+	// replay also holds to read it.
 	tr *trace.Trace
 	// err is the error recording tr failed with; every replay reports it.
 	err error
@@ -39,6 +43,11 @@ type simMemo struct {
 	// sims counts replays actually simulated; tests read it after the
 	// checks finish.
 	sims atomic.Int64
+
+	// channels is the memo of channelQueueing's own trace
+	// (channelOptions). Run and Metamorphic set it; memos that serve no
+	// metamorphic units leave it nil.
+	channels *simMemo
 }
 
 // memoRun is one memoized replay. It is written once, under its
@@ -75,6 +84,7 @@ func (m *simMemo) replay(cfg config.Config) (*memoRun, error) {
 		return nil, m.err
 	}
 	m.mu.Lock()
+	tr := m.tr
 	r := m.runs[cfg]
 	if r == nil {
 		r = new(memoRun)
@@ -83,8 +93,12 @@ func (m *simMemo) replay(cfg config.Config) (*memoRun, error) {
 	r.requests++
 	m.mu.Unlock()
 	r.once.Do(func() {
+		if tr == nil {
+			r.err = errors.New("check: replay requested after its trace was released")
+			return
+		}
 		m.sims.Add(1)
-		s, err := newReplaySim(&cfg, m.tr, m.refs, nil)
+		s, err := newReplaySim(&cfg, tr, m.refs, nil)
 		if err != nil {
 			r.err = err
 			return
@@ -94,6 +108,15 @@ func (m *simMemo) replay(cfg config.Config) (*memoRun, error) {
 		r.snap, r.err = r.st.Snapshot().StableJSON()
 	})
 	return r, r.err
+}
+
+// release drops the memo's trace, so that the rest of a Run need not keep
+// it live once every replay the memo serves has been simulated. A later
+// request for a config not simulated by then reports an error.
+func (m *simMemo) release() {
+	m.mu.Lock()
+	m.tr = nil
+	m.mu.Unlock()
 }
 
 // newReplaySim builds a tsim instance that replays refs references of tr

@@ -2,6 +2,7 @@ package check
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -109,5 +110,42 @@ func TestRunSimulatesEachConfigOnce(t *testing.T) {
 	}
 	if r := m.runs[config.Default()]; r == nil || r.requests != 3 {
 		t.Errorf("default config not requested 3 times: %+v", r)
+	}
+}
+
+// TestRunReplaysChannelTraceOnce pins channelQueueing's share of a Run:
+// its 1- and 4-channel replays are simulated once each — the workers fill
+// them first and the tsim-channel-qdelay unit reads them — the trace is
+// released once both have run, and the report is byte-identical at any
+// number of workers.
+func TestRunReplaysChannelTraceOnce(t *testing.T) {
+	var want string
+	for _, parallel := range []int{1, 2, 4} {
+		rs, m := run(Options{Refs: 2_000, Parallel: parallel})
+		c := m.channels
+		if n := c.sims.Load(); n != 2 || len(c.runs) != 2 {
+			t.Errorf("Parallel=%d: %d channel replays simulated over %d configs, want 2 over 2", parallel, n, len(c.runs))
+		}
+		if c.tr != nil {
+			t.Errorf("Parallel=%d: the channel trace outlived its two replays", parallel)
+		}
+		for cfg, r := range c.runs {
+			// One request from the worker that fills it, one from the unit.
+			if r.requests != 2 {
+				t.Errorf("Parallel=%d: %d-channel replay requested %d times, want 2", parallel, cfg.Channels, r.requests)
+			}
+		}
+		if _, err := c.replay(channelConfig(2)); err == nil {
+			t.Errorf("Parallel=%d: a replay requested after the trace's release reported no error", parallel)
+		}
+		got := render(rs)
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("Parallel=%d report differs from Parallel=1:\n%s\nwant:\n%s", parallel, got, want)
+		}
+	}
+	if !strings.Contains(want, "tsim-channel-qdelay ") {
+		t.Errorf("report has no tsim-channel-qdelay line:\n%s", want)
 	}
 }

@@ -15,8 +15,10 @@ import (
 // right way: analytic timelines first (cheap, exhaustive over a parameter
 // grid), then real tsim runs (expensive, a handful of points).
 func Metamorphic(opt Options) []Result {
+	m := recordMemo(opt.withDefaults())
+	m.channels = recordMemo(channelOptions(opt))
 	var out []Result
-	for _, unit := range metamorphicUnits(recordMemo(opt.withDefaults())) {
+	for _, unit := range metamorphicUnits(m) {
 		out = append(out, unit()...)
 	}
 	return out
@@ -25,14 +27,14 @@ func Metamorphic(opt Options) []Result {
 // metamorphicUnits splits the pillar into independent tasks for parallel
 // Run. The AES, in-SRAM, bipbip and qdelay-dominance units replay the
 // memo's trace through the memo, so a config one of them shares with
-// another pillar runs once. ChannelQueueing records its own heavier trace
-// and ExposedDecryptTail traces synthetic runs; both build their
-// simulators outright.
+// another pillar runs once. channelQueueing replays its heavier trace
+// through the memo's channels; ExposedDecryptTail traces synthetic runs
+// and builds its simulators outright.
 func metamorphicUnits(m *simMemo) []func() []Result {
 	return []func() []Result{
 		func() []Result { return TimelineProperties() },
 		func() []Result { return []Result{aesMonotonicity(m)} },
-		func() []Result { return []Result{ChannelQueueing(m.opt)} },
+		func() []Result { return []Result{channelQueueing(m.channels)} },
 		func() []Result { return []Result{channelQueueingDominance(m)} },
 		func() []Result { return inSRAMBankMonotonicity(m) },
 		func() []Result { return []Result{bipbipKnobInvariance(m, bipbipKnobs)} },
@@ -270,15 +272,9 @@ func assertNonDecreasing(name, what string, times []sim.Time) Result {
 	return passf(PillarMetamorphic, name, "%s: runtimes %v non-decreasing", what, times)
 }
 
-// ChannelQueueing runs tsim at 1 and 4 DRAM channels and requires the mean
-// data-read queuing delay not to increase: more parallel channels can only
-// relieve queue pressure. The property only binds when queues actually
-// form — at light load, channel interleaving perturbs row-buffer locality
-// by more than the (near-zero) queuing delay it relieves — so this check
-// raises core count and reference budget until the single-channel
-// configuration is queue-bound. A small absolute slack absorbs FR-FCFS
-// discreteness on top of that.
-func ChannelQueueing(opt Options) Result {
+// channelOptions widens opt to channelQueueing's load: at least 4 cores
+// and 120 k references, enough to make the single channel queue-bound.
+func channelOptions(opt Options) Options {
 	opt = opt.withDefaults()
 	if opt.Cores < 4 {
 		opt.Cores = 4
@@ -286,20 +282,33 @@ func ChannelQueueing(opt Options) Result {
 	if opt.Refs < 120_000 {
 		opt.Refs = 120_000
 	}
-	tr, err := recordTrace(opt)
-	if err != nil {
-		return failf(PillarMetamorphic, "tsim-channel-qdelay", "%v", err)
-	}
+	return opt
+}
+
+// channelConfig is the default machine with the given DRAM channel count.
+func channelConfig(channels int) config.Config {
+	cfg := config.Default()
+	cfg.Channels = channels
+	return cfg
+}
+
+// channelQueueing runs tsim at 1 and 4 DRAM channels and requires the
+// mean data-read queuing delay not to increase: more parallel channels can
+// only relieve queue pressure. The property only binds when queues
+// actually form — at light load, channel interleaving perturbs row-buffer
+// locality by more than the (near-zero) queuing delay it relieves — so its
+// trace, which m memoizes, is recorded at channelOptions' raised core
+// count and reference budget, where the single-channel configuration is
+// queue-bound. A small absolute slack absorbs FR-FCFS discreteness on top
+// of that.
+func channelQueueing(m *simMemo) Result {
 	delays := make([]float64, 2)
 	for i, channels := range []int{1, 4} {
-		cfg := config.Default()
-		cfg.Channels = channels
-		s, err := newReplaySim(&cfg, tr, opt.Refs, nil)
+		r, err := m.replay(channelConfig(channels))
 		if err != nil {
 			return failf(PillarMetamorphic, "tsim-channel-qdelay", "%v", err)
 		}
-		s.Run()
-		delays[i] = s.Stats().Accum(stats.DramQDelayDataRead).Mean()
+		delays[i] = r.st.Accum(stats.DramQDelayDataRead).Mean()
 	}
 	const slackNS = 0.5
 	if delays[1] > delays[0]+slackNS {
@@ -310,7 +319,7 @@ func ChannelQueueing(opt Options) Result {
 		"mean data-read qdelay %.3f ns (1 ch) → %.3f ns (4 ch)", delays[0], delays[1])
 }
 
-// channelQueueingDominance strengthens ChannelQueueing from a mean
+// channelQueueingDominance strengthens channelQueueing from a mean
 // comparison to first-order stochastic dominance over the per-request
 // data-read queuing-delay distribution: at every histogram bucket boundary
 // the 4-channel CDF must sit at or above the 1-channel CDF (minus a small
@@ -323,9 +332,7 @@ func channelQueueingDominance(m *simMemo) Result {
 	cdfs := make([][]float64, 2)
 	totals := make([]int64, 2)
 	for i, channels := range []int{1, 4} {
-		cfg := config.Default()
-		cfg.Channels = channels
-		r, err := m.replay(cfg)
+		r, err := m.replay(channelConfig(channels))
 		if err != nil {
 			return failf(PillarMetamorphic, name, "%v", err)
 		}

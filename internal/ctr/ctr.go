@@ -61,30 +61,25 @@ func New(d config.CounterDesign) Organisation {
 
 // ---- Monolithic: eight independent 56-bit counters per block ----
 
+// mono keeps its counter blocks by value in its map, so a first write to
+// a counter block allocates only when the map grows, and a timing run's
+// steady state allocates nothing for it.
 type mono struct {
-	blocks map[uint64]*[8]uint64
+	blocks map[uint64][8]uint64
 }
 
-func newMono() *mono { return &mono{blocks: make(map[uint64]*[8]uint64)} }
+func newMono() *mono { return &mono{blocks: make(map[uint64][8]uint64)} }
 
 func (m *mono) Name() string            { return "mono" }
 func (m *mono) Coverage() int           { return 8 }
 func (m *mono) DecodeLatency() sim.Time { return 0 }
 
-func (m *mono) Counter(blk uint64, off int) uint64 {
-	if b := m.blocks[blk]; b != nil {
-		return b[off]
-	}
-	return 0
-}
+func (m *mono) Counter(blk uint64, off int) uint64 { return m.blocks[blk][off] }
 
 func (m *mono) Increment(blk uint64, off int, level int) Overflow {
 	b := m.blocks[blk]
-	if b == nil {
-		b = new([8]uint64)
-		m.blocks[blk] = b
-	}
 	b[off]++
+	m.blocks[blk] = b
 	// 2^56 writes to one block is unreachable in simulation; monolithic
 	// counters never overflow here, matching the paper's treatment.
 	return Overflow{}

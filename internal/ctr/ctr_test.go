@@ -1,6 +1,7 @@
 package ctr
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -194,4 +195,38 @@ func TestUnknownDesignPanics(t *testing.T) {
 		}
 	}()
 	New(config.CtrNone)
+}
+
+// TestMonoMatchesReference writes to a few thousand counter blocks in a
+// scattered order and checks every counter and every block image, written
+// or not, against a map of plain arrays.
+func TestMonoMatchesReference(t *testing.T) {
+	m := newMono()
+	ref := map[uint64]*[8]uint64{}
+	r := uint64(1)
+	for i := 0; i < 20_000; i++ {
+		r = r*6364136223846793005 + 1442695040888963407
+		blk, off := r>>52, int(r>>40%8) // 4096 possible blocks
+		m.Increment(blk, off, 0)
+		if ref[blk] == nil {
+			ref[blk] = new([8]uint64)
+		}
+		ref[blk][off]++
+	}
+	for blk := uint64(0); blk < 1<<12+8; blk++ {
+		var want [8]uint64
+		if b := ref[blk]; b != nil {
+			want = *b
+		}
+		img := [SerializedBytes]byte{0: 0xff, 63: 0xff}
+		m.Serialize(blk, &img)
+		for off := range want {
+			if got := m.Counter(blk, off); got != want[off] {
+				t.Fatalf("block %d offset %d: counter %d, want %d", blk, off, got, want[off])
+			}
+			if got := binary.LittleEndian.Uint64(img[8*off:]); got != want[off] {
+				t.Fatalf("block %d offset %d: image holds %d, want %d", blk, off, got, want[off])
+			}
+		}
+	}
 }

@@ -17,14 +17,7 @@ type Serializer interface {
 }
 
 func (m *mono) Serialize(blk uint64, dst *[SerializedBytes]byte) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	b := m.blocks[blk]
-	if b == nil {
-		return
-	}
-	for i, v := range b {
+	for i, v := range m.blocks[blk] {
 		binary.LittleEndian.PutUint64(dst[8*i:8*i+8], v)
 	}
 }

@@ -84,18 +84,16 @@ func (e *Engine) Pending() int { return e.q.len() }
 //
 // The closure form allocates (the closure itself); recurring events on hot
 // paths should use AtCall/AfterCall with a prebound callback instead.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic("sim: event scheduled in the past")
-	}
-	e.seq++
-	e.q.push(event{at: t, seq: e.seq, fn: fn})
-}
+func (e *Engine) At(t Time, fn func()) { e.AtCall(t, callClosure, fn) }
+
+// callClosure is the trampoline every At closure runs through: the
+// closure rides in the arg word, so the queue holds one callback form.
+func callClosure(fn any) { fn.(func())() }
 
 // AtCall schedules fn(arg) to run at absolute time t. With fn a
 // package-level function (or any func value that outlives the schedule)
-// and arg a pointer, the call allocates nothing: the event is written
-// directly into the queue's backing array and the pointer rides in the
+// and arg a pointer, the call allocates nothing: the callback is written
+// into a recycled slot of the queue's slab and the pointer rides in the
 // interface word. This is the steady-state form for the simulators'
 // recurring events (core issue ticks, cache wakeups, DRAM scheduling).
 // Scheduling in the past panics, as with At.
@@ -104,7 +102,7 @@ func (e *Engine) AtCall(t Time, fn func(any), arg any) {
 		panic("sim: event scheduled in the past")
 	}
 	e.seq++
-	e.q.push(event{at: t, seq: e.seq, call: fn, arg: arg})
+	e.q.push(t, e.seq, 0, fn, arg)
 }
 
 // AtCallLate schedules fn(arg) in the late class at absolute time t: it
@@ -113,13 +111,18 @@ func (e *Engine) AtCall(t Time, fn func(any), arg any) {
 // that must see a timestamp's complete state — the DRAM scheduler pass,
 // DRAM completions, tsim's inter-entity messages — use this, so their
 // position among same-time events depends only on (t, key), not on when
-// they happened to be scheduled. Scheduling in the past panics.
+// they happened to be scheduled. Scheduling in the past panics, and so
+// does a negative key: the queue packs the class and the key into one
+// word that needs key >= 0.
 func (e *Engine) AtCallLate(t Time, key int32, fn func(any), arg any) {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
+	if key < 0 {
+		panic("sim: negative late-class key")
+	}
 	e.seq++
-	e.q.push(event{at: t, seq: e.seq, pri: 1, key: key, call: fn, arg: arg})
+	e.q.push(t, e.seq, lateClass|uint32(key), fn, arg)
 }
 
 // After schedules fn to run d picoseconds from now. Negative delays panic.
@@ -178,18 +181,14 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 // peek is the single seam through which the run loops inspect the next
 // event; the queue implementation can change behind it. Callers must
 // check Pending() > 0 first.
-func (e *Engine) peek() *event { return e.q.peek() }
+func (e *Engine) peek() *entry { return e.q.peek() }
 
 func (e *Engine) step() {
-	ev := e.q.pop()
+	ev, cb := e.q.pop()
 	if rec := e.rec; rec != nil && rec.On() && ev.at < e.now {
 		rec.Failf("sim", "clock moved backwards: event at %d ps popped at now=%d ps", ev.at, e.now)
 	}
 	e.now = ev.at
 	e.steps++
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.call(ev.arg)
-	}
+	cb.fn(cb.arg)
 }
