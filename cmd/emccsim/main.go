@@ -10,6 +10,8 @@
 //	emccsim -mode functional -cpuprofile cpu.pprof     # profile the run
 //	emccsim -mode timing -system emcc -refs 200000 -trace emcc.json
 //	emccsim -mode timing -sample 16 -trace t.json -flight f.csv -openmetrics m.prom
+//	emccsim -record canneal.trc -bench canneal -refs 2000000
+//	emccsim -replay canneal.trc -mode timing -system emcc
 //
 // -trace attaches the per-request critical-path tracer (internal/obs) to a
 // timing run: it writes a Chrome/Perfetto trace_event file and a
@@ -24,6 +26,14 @@
 // run as OpenMetrics text. Traced runs (-trace, -flight) neither read nor
 // write -cache: the scenario key covers neither the tracer's statistics
 // nor its side files.
+//
+// -record writes the -bench/-seed/-refs/-small reference stream, interleaved
+// over the configuration's cores, to a trace file (internal/trace) and
+// exits. -replay runs a recorded trace in place of a synthetic benchmark:
+// the trace fixes the benchmark, seed and scale, so those flags are errors
+// beside it, and without -refs the run covers the file once. A replay is
+// an ordinary scenario keyed by the trace's SHA-256, so every other flag
+// applies to it.
 package main
 
 import (
@@ -44,6 +54,7 @@ import (
 	"repro/internal/prov"
 	runner "repro/internal/run"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -98,10 +109,12 @@ func run(args []string, stdout io.Writer) (err error) {
 		dynOff   = fs.Bool("dynamic-off", false, "enable the Sec. IV-F intensity monitor (EMCC)")
 		asJSON   = fs.Bool("json", false, "emit results as JSON")
 		cacheDir = fs.String("cache", "", "directory for the persistent result cache (untraced runs)")
-		trace    = fs.String("trace", "", "Chrome trace output `file` of a timing run, plus file.prov.json and a latency report")
+		chrome   = fs.String("trace", "", "Chrome trace output `file` of a timing run, plus file.prov.json and a latency report")
 		sample   = fs.Uint64("sample", 1, "trace every Nth request (1 = all)")
 		flight   = fs.String("flight", "", "flight-recorder output `file` of a timing run (.json = JSON, else CSV)")
 		openMet  = fs.String("openmetrics", "", "OpenMetrics text-exposition `file` of the final stats snapshot")
+		record   = fs.String("record", "", "write the -bench/-seed/-refs/-small reference stream to trace `file` and exit")
+		replay   = fs.String("replay", "", "replay the recorded trace `file` instead of a synthetic benchmark (one pass unless -refs is set)")
 	)
 	prof := profile.Register(fs, "emccsim")
 	if err := fs.Parse(args); err != nil {
@@ -109,6 +122,13 @@ func run(args []string, stdout io.Writer) (err error) {
 			return err
 		}
 		return errUsage
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range []string{"record", "bench", "seed", "small"} {
+		if *replay != "" && set[name] {
+			return fmt.Errorf("-%s cannot be combined with -replay: the trace fixes the benchmark, seed and scale it replays", name)
+		}
 	}
 	if err := prof.Start(); err != nil {
 		return err
@@ -151,6 +171,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	if *small {
 		scale = workload.TestScale()
 	}
+	if *record != "" {
+		return recordTrace(stdout, *record, *bench, cfg.Cores, *seed, *refs, scale)
+	}
 
 	var runMode runner.Mode
 	switch *mode {
@@ -161,7 +184,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	default:
 		return fmt.Errorf("unknown -mode %q", *mode)
 	}
-	traced := *trace != "" || *flight != ""
+	traced := *chrome != "" || *flight != ""
 	if traced && runMode != runner.Timing {
 		return fmt.Errorf("-trace and -flight need -mode timing, not -mode %s", *mode)
 	}
@@ -174,21 +197,40 @@ func run(args []string, stdout io.Writer) (err error) {
 		Seed: *seed, Refs: *refs, Warmup: *warm, Scale: scale,
 		Label: *bench,
 	}
+	var info string
+	if *replay != "" {
+		tr, err := loadTrace(*replay)
+		if err != nil {
+			return err
+		}
+		var n int64
+		n, info = describe(tr)
+		sc.Benchmark, sc.Label, sc.Cores, sc.Replay = tr.Name, tr.Name, tr.Cores, tr
+		sc.Seed, sc.Scale = 0, workload.Scale{}
+		if !set["refs"] {
+			sc.Refs = n
+		}
+	}
 	fields := map[string]string{
 		"tool":      "emccsim",
 		"mode":      *mode,
-		"benchmark": *bench,
-		"seed":      fmt.Sprint(*seed),
-		"refs":      fmt.Sprint(*refs),
+		"benchmark": sc.Benchmark,
+		"seed":      fmt.Sprint(sc.Seed),
+		"refs":      fmt.Sprint(sc.Refs),
 		"warmup":    fmt.Sprint(*warm),
 		"scenario":  sc.Key(),
+	}
+	if sc.Replay != nil {
+		delete(fields, "seed")
+		fields["replay"] = *replay
+		fields["replay-sha256"] = sc.Replay.Digest
 	}
 	if traced {
 		fields["sample"] = fmt.Sprint(*sample)
 		fields["cached"] = "false"
 	}
-	if *trace != "" {
-		fields["out"] = *trace
+	if *chrome != "" {
+		fields["out"] = *chrome
 	}
 	manifest := prov.Manifest(&cfg, fields)
 
@@ -197,7 +239,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		report string
 	)
 	if traced {
-		o, report, err = traceRun(&sc, manifest, *trace, *flight, *sample)
+		o, report, err = traceRun(&sc, manifest, *chrome, *flight, *sample)
 	} else {
 		var cache *runner.Cache
 		if *cacheDir != "" {
@@ -222,15 +264,18 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}
 
+	if info != "" && !*asJSON {
+		fmt.Fprintf(stdout, "# %s\n", info)
+	}
 	switch runMode {
 	case runner.Functional:
 		if *asJSON {
 			return emitJSON(stdout, map[string]interface{}{
-				"mode": "functional", "system": cfg.SystemName(), "benchmark": *bench,
-				"refs": *refs, "stats": o.Stats,
+				"mode": "functional", "system": cfg.SystemName(), "benchmark": sc.Benchmark,
+				"refs": sc.Refs, "stats": o.Stats,
 			})
 		}
-		fmt.Fprintf(stdout, "# functional %s on %s, %d refs\n", cfg.SystemName(), *bench, *refs)
+		fmt.Fprintf(stdout, "# functional %s on %s, %d refs\n", cfg.SystemName(), sc.Benchmark, sc.Refs)
 		fmt.Fprintf(stdout, "# %s\n", prov.Line(manifest))
 		fmt.Fprint(stdout, o.Stats.Dump())
 	case runner.Timing:
@@ -241,8 +286,8 @@ func run(args []string, stdout io.Writer) (err error) {
 				util[k.String()] = v
 			}
 			return emitJSON(stdout, map[string]interface{}{
-				"mode": "timing", "system": cfg.SystemName(), "benchmark": *bench,
-				"refs": *refs, "simulated_ms": res.SimulatedTime.Nanoseconds() / 1e6,
+				"mode": "timing", "system": cfg.SystemName(), "benchmark": sc.Benchmark,
+				"refs": sc.Refs, "simulated_ms": res.SimulatedTime.Nanoseconds() / 1e6,
 				"instructions": res.Instructions, "ipc": res.IPC,
 				"l2_miss_latency_ns": res.L2MissLatencyNS,
 				"decrypt_at_l2_frac": res.DecryptAtL2Frac,
@@ -250,7 +295,7 @@ func run(args []string, stdout io.Writer) (err error) {
 				"stats":              o.Stats,
 			})
 		}
-		fmt.Fprintf(stdout, "# timing %s on %s, %d refs\n", cfg.SystemName(), *bench, *refs)
+		fmt.Fprintf(stdout, "# timing %s on %s, %d refs\n", cfg.SystemName(), sc.Benchmark, sc.Refs)
 		fmt.Fprintf(stdout, "# %s\n", prov.Line(manifest))
 		fmt.Fprintf(stdout, "simulated-time-ms            %.3f\n", res.SimulatedTime.Nanoseconds()/1e6)
 		fmt.Fprintf(stdout, "instructions                 %d\n", res.Instructions)
@@ -336,6 +381,56 @@ func traceRun(sc *runner.Scenario, manifest map[string]string, tracePath, flight
 	obs.WriteSummary(&report, s.Stats())
 	obs.WriteTopRequests(&report, tr.TopRequests())
 	return &runner.Outcome{Stats: s.Stats().Snapshot(), Timing: &res}, report.String(), nil
+}
+
+// recordTrace writes refs references of bench, interleaved over cores, to
+// the trace file path.
+func recordTrace(stdout io.Writer, path, bench string, cores int, seed uint64, refs int64, scale workload.Scale) error {
+	var n int64
+	err := writeFile(path, func(w io.Writer) (err error) {
+		n, err = trace.Record(w, bench, cores, seed, refs, scale)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("-record %s: %w", path, err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "recorded %d refs of %s into %s (%.1f MB, %.2f B/ref)\n",
+		n, bench, path, float64(st.Size())/1e6, float64(st.Size())/float64(n))
+	return nil
+}
+
+// loadTrace reads and verifies the trace file at path.
+func loadTrace(path string) (*trace.Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	tr, err := trace.Read(f)
+	if err != nil {
+		return nil, fmt.Errorf("-replay %s: %w", path, err)
+	}
+	return tr, nil
+}
+
+// describe counts a trace's references and renders the header line its
+// replay prints.
+func describe(tr *trace.Trace) (refs int64, line string) {
+	var writes int64
+	for _, pc := range tr.PerCore {
+		refs += int64(len(pc))
+		for _, a := range pc {
+			if a.Write {
+				writes++
+			}
+		}
+	}
+	return refs, fmt.Sprintf("trace %s: %d cores, %d MB footprint, %d references (%.1f%% writes)",
+		tr.Name, tr.Cores, tr.Footprint>>20, refs, 100*float64(writes)/float64(refs))
 }
 
 // writeFile creates path and fills it with write.

@@ -92,7 +92,8 @@ type SecureMemory = secmem.Memory
 var ErrTampered = secmem.ErrTampered
 
 // NewSecureMemory builds a functional secure memory over dataBytes of
-// protected space with the given counter design and 16-byte master key.
+// protected space with the given counter design and 16-byte master key; a
+// key of any other length is an error.
 func NewSecureMemory(dataBytes int64, design CounterDesign, key []byte) (*SecureMemory, error) {
 	return secmem.New(dataBytes, design, key)
 }

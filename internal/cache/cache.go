@@ -84,8 +84,8 @@ type Cache struct {
 	// counter line instead of the global LRU (EMCC's 32 KB rule).
 	ctrCapLines int
 
-	// rec is the owning run's invariant recorder (never nil; defaults to
-	// the process-wide recorder until SetRecorder rebinds it).
+	// rec is the owning run's invariant recorder (nil, checking off, until
+	// SetRecorder binds one).
 	rec *inv.Recorder
 }
 
@@ -130,7 +130,6 @@ func newCache(name string, sets uint64, ways int) *Cache {
 		tags:  make([]uint64, n),
 		flags: make([]uint8, n),
 		meta:  make([]uint64, sets*uint64(2*words)),
-		rec:   inv.Default(),
 	}
 }
 
@@ -153,9 +152,9 @@ func SplitSets(total uint64, n int) []uint64 {
 	return out
 }
 
-// SetRecorder binds the owning run's invariant recorder (nil rebinds the
-// default). Call at construction time, before any traffic.
-func (c *Cache) SetRecorder(r *inv.Recorder) { c.rec = inv.Or(r) }
+// SetRecorder binds the owning run's invariant recorder (nil turns
+// checking off). Call at construction time, before any traffic.
+func (c *Cache) SetRecorder(r *inv.Recorder) { c.rec = r }
 
 // SetCounterCap caps counter-kind occupancy to capBytes worth of lines.
 func (c *Cache) SetCounterCap(capBytes int64) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/inv"
 	"repro/internal/sim"
 )
 
@@ -178,11 +177,4 @@ func render(rs []Result) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// TestMain leaves the recorder disabled no matter how a test exits, so
-// other packages' tests in the same binary are unaffected.
-func TestMain(m *testing.M) {
-	defer inv.Enable(false)
-	m.Run()
 }

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"repro/internal/config"
 	"repro/internal/fsim"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -20,8 +21,8 @@ import (
 func counterFreeAcceptance(system string, opt Options) []Result {
 	opt = opt.withDefaults()
 	name := func(rule string) string { return system + "-counter-free/" + rule }
-	cfg, err := systemConfig(system)
-	if err != nil {
+	cfg := config.Default()
+	if err := config.ApplySystem(&cfg, system); err != nil {
 		return []Result{failf(PillarDifferential, name("config"), "%v", err)}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/stats"
 )
 
@@ -30,8 +31,8 @@ func TestFsimDeterminism(t *testing.T) {
 	}
 	for _, system := range diffSystems {
 		t.Run(system, func(t *testing.T) {
-			cfg, err := systemConfig(system)
-			if err != nil {
+			cfg := config.Default()
+			if err := config.ApplySystem(&cfg, system); err != nil {
 				t.Fatal(err)
 			}
 			var runs [2][]byte
@@ -57,8 +58,8 @@ func TestTsimDeterminism(t *testing.T) {
 	}
 	for _, system := range diffSystems {
 		t.Run(system, func(t *testing.T) {
-			cfg, err := systemConfig(system)
-			if err != nil {
+			cfg := config.Default()
+			if err := config.ApplySystem(&cfg, system); err != nil {
 				t.Fatal(err)
 			}
 			var runs [2][]byte

@@ -2,7 +2,6 @@ package check
 
 import (
 	"bytes"
-	"fmt"
 
 	"repro/internal/config"
 	"repro/internal/crypto"
@@ -14,29 +13,6 @@ import (
 
 // systems under differential test, keyed the way Fig 16's legend names them.
 var diffSystems = []string{"non-secure", "morphable", "emcc", "bipbip", "insram"}
-
-// systemConfig builds the configuration for one named system.
-func systemConfig(name string) (config.Config, error) {
-	cfg := config.Default()
-	switch name {
-	case "non-secure":
-		cfg.Counter = config.CtrNone
-		cfg.CountersInLLC = false
-	case "morphable":
-		// the default: morphable counters cached in LLC
-	case "emcc":
-		cfg.EMCC = true
-	case "bipbip":
-		cfg.Counter = config.CtrBipBip
-		cfg.CountersInLLC = false
-	case "insram":
-		cfg.Counter = config.CtrInSRAM
-		cfg.CountersInLLC = false
-	default:
-		return cfg, fmt.Errorf("check: unknown system %q", name)
-	}
-	return cfg, nil
-}
 
 // diffRule compares one fsim metric against one tsim metric. relTol is the
 // allowed relative divergence (0 means exact); absTol is an absolute floor
@@ -143,8 +119,8 @@ func diffUnits(m *simMemo) []func() []Result {
 	for _, system := range diffSystems {
 		system := system
 		units = append(units, func() []Result {
-			cfg, err := systemConfig(system)
-			if err != nil {
+			cfg := config.Default()
+			if err := config.ApplySystem(&cfg, system); err != nil {
 				return []Result{failf(PillarDifferential, system, "%v", err)}
 			}
 			return compareTraceRun(system, &cfg, &cfg, m)

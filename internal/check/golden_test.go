@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/stats"
 )
 
@@ -70,8 +71,8 @@ func TestGoldenStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, system := range diffSystems {
-		cfg, err := systemConfig(system)
-		if err != nil {
+		cfg := config.Default()
+		if err := config.ApplySystem(&cfg, system); err != nil {
 			t.Fatal(err)
 		}
 		t.Run("fsim-"+system, func(t *testing.T) {

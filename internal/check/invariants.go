@@ -34,8 +34,8 @@ func invariantUnits(tr *trace.Trace, opt Options) []func() []Result {
 	for _, system := range diffSystems {
 		system := system
 		units = append(units, func() []Result {
-			cfg, err := systemConfig(system)
-			if err != nil {
+			cfg := config.Default()
+			if err := config.ApplySystem(&cfg, system); err != nil {
 				return []Result{failf(PillarInvariant, system, "%v", err)}
 			}
 			return InvariantRun(system, &cfg, tr, opt)

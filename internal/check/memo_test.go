@@ -36,8 +36,8 @@ func TestSimMemoConcurrent(t *testing.T) {
 	m := recordMemo(Options{Refs: 1_000}.withDefaults())
 	var cfgs []config.Config
 	for _, system := range []string{"non-secure", "emcc", "bipbip"} {
-		cfg, err := systemConfig(system)
-		if err != nil {
+		cfg := config.Default()
+		if err := config.ApplySystem(&cfg, system); err != nil {
 			t.Fatal(err)
 		}
 		cfgs = append(cfgs, cfg)

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"repro/internal/config"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/tsim"
@@ -23,8 +24,8 @@ func ExposedDecryptTail(opt Options) Result {
 	opt = opt.withDefaults()
 
 	tail := func(system string) (p99 int64, mean float64, n int64, err error) {
-		cfg, err := systemConfig(system)
-		if err != nil {
+		cfg := config.Default()
+		if err := config.ApplySystem(&cfg, system); err != nil {
 			return 0, 0, 0, err
 		}
 		obsSt := stats.NewSet()

@@ -377,9 +377,10 @@ func (c *Config) SystemName() string {
 }
 
 // ApplySystem configures the secure-memory design from its figure-legend
-// name (the -system flag vocabulary of cmd/emccsim and cmd/tracer, which
-// internal/check uses too). The "+nollc" suffix disables caching counters
-// in LLC (the Fig 2 "W/o" configuration).
+// name: the -system flag vocabulary of cmd/emccsim, and the one system
+// table internal/figures and internal/check build their configurations
+// from. The "+nollc" suffix disables caching counters in LLC (the Fig 2
+// "W/o" configuration).
 func ApplySystem(cfg *Config, name string) error {
 	base := strings.TrimSuffix(name, "+nollc")
 	switch base {

@@ -48,15 +48,9 @@ type Policy struct {
 }
 
 // NewPolicy derives the policy from the configuration and mesh geometry,
-// recording any gated validation failures on the process-wide recorder.
-func NewPolicy(cfg *config.Config, mesh *noc.Mesh) Policy {
-	return NewPolicyRec(cfg, mesh, nil)
-}
-
-// NewPolicyRec is NewPolicy with the validation checks bound to the given
-// run's invariant recorder (nil falls back to the process-wide default).
-func NewPolicyRec(cfg *config.Config, mesh *noc.Mesh, rec *inv.Recorder) Policy {
-	rec = inv.Or(rec)
+// recording any gated validation failures on the run's invariant recorder
+// (nil checks nothing).
+func NewPolicy(cfg *config.Config, mesh *noc.Mesh, rec *inv.Recorder) Policy {
 	// Expected LLC hit RTT from an L2: two mean one-way traversals plus
 	// the slice's tag+data lookup.
 	meanOneWay := mesh.MeanOneWay(mesh.CoreTile(0))

@@ -11,7 +11,7 @@ import (
 func testPolicy() Policy {
 	cfg := config.Default()
 	mesh := noc.New(cfg.MeshCols, cfg.MeshRows, cfg.NoCHopLatency, cfg.NoCBaseOneWay)
-	return NewPolicy(&cfg, mesh)
+	return NewPolicy(&cfg, mesh, nil)
 }
 
 func TestPolicyDerivation(t *testing.T) {

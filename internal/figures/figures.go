@@ -142,43 +142,15 @@ func (h *Harness) trefs() (warm, refs int64) {
 	return 2_500_000, 800_000
 }
 
-// system mutators, named like Fig 16's legend.
-func applySystem(cfg *config.Config, system string) {
-	switch system {
-	case "non-secure":
-		cfg.Counter = config.CtrNone
-		cfg.CountersInLLC = false
-		cfg.EMCC = false
-	case "mono":
-		cfg.Counter = config.CtrMono
-	case "sc64":
-		cfg.Counter = config.CtrSC64
-	case "morphable":
-		cfg.Counter = config.CtrMorphable
-	case "morphable+nollc":
-		cfg.Counter = config.CtrMorphable
-		cfg.CountersInLLC = false
-	case "emcc":
-		cfg.Counter = config.CtrMorphable
-		cfg.EMCC = true
-	case "bipbip":
-		cfg.Counter = config.CtrBipBip
-		cfg.CountersInLLC = false
-	case "insram":
-		cfg.Counter = config.CtrInSRAM
-		cfg.CountersInLLC = false
-	default:
-		panic("figures: unknown system " + system)
-	}
-}
-
 // scenario resolves one simulation description into a content-keyed
 // run.Scenario: the system and any sweep mutation are applied to the
 // default configuration here, so the scenario hashes (and executes) as
 // pure data. variant is a log label only — it never keys anything.
 func (h *Harness) scenario(mode run.Mode, bench, system, variant string, mutate func(*config.Config)) run.Scenario {
 	cfg := config.Default()
-	applySystem(&cfg, system)
+	if err := config.ApplySystem(&cfg, system); err != nil {
+		panic("figures: " + err.Error())
+	}
 	if mutate != nil {
 		mutate(&cfg)
 	}

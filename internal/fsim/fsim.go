@@ -37,9 +37,9 @@ type Options struct {
 	// DataBytes must then bound every address they emit.
 	Generators []workload.Generator
 	DataBytes  int64
-	// Recorder, when non-nil, receives this run's invariant violations
-	// instead of the process-wide default recorder — concurrent runs in one
-	// process each keep their own ledger.
+	// Recorder, when non-nil, receives this run's invariant violations;
+	// nil runs with checking off. Concurrent runs in one process each keep
+	// their own ledger.
 	Recorder *inv.Recorder
 }
 
@@ -105,7 +105,6 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 			return nil, fmt.Errorf("sim: DataBytes required with custom generators")
 		}
 	}
-	rec := inv.Or(opt.Recorder)
 	s := &Sim{
 		cfg:  cfg,
 		opt:  opt,
@@ -120,15 +119,15 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 	split := cache.SplitSets(totalSets, s.mesh.CoreTiles())
 	for j, sets := range split {
 		g := cache.NewSets(fmt.Sprintf("llc.%d", j), sets, cfg.L3Ways)
-		g.SetRecorder(rec)
+		g.SetRecorder(opt.Recorder)
 		s.llc = append(s.llc, g)
 	}
 	for c := 0; c < opt.Cores; c++ {
 		l1 := cache.New(fmt.Sprintf("l1.%d", c), cfg.L1Bytes, cfg.L1Ways)
-		l1.SetRecorder(rec)
+		l1.SetRecorder(opt.Recorder)
 		s.l1 = append(s.l1, l1)
 		l2 := cache.New(fmt.Sprintf("l2.%d", c), cfg.L2Bytes, cfg.L2Ways)
-		l2.SetRecorder(rec)
+		l2.SetRecorder(opt.Recorder)
 		if cfg.EMCC {
 			l2.SetCounterCap(cfg.EMCCL2CounterBytes)
 		}
@@ -139,7 +138,7 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 	// metadata cache to model.
 	if cfg.Counter.HasCounters() {
 		s.home = mc.NewHome(cfg, dataBytes)
-		s.home.SetRecorder(rec)
+		s.home.SetRecorder(opt.Recorder)
 	}
 	s.pol = emcc.Policy{L2CounterCap: cfg.EMCCL2CounterBytes}
 	s.bindHot()

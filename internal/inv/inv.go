@@ -8,13 +8,12 @@
 // State lives in a Recorder, owned by whatever owns a run: the engine-scoped
 // binding (sim.Engine carries one, components capture it at construction)
 // keeps concurrent in-process runs fully isolated — each run's violations
-// land only in its own Recorder. The package-level functions delegate to a
-// process-wide default Recorder, so leaf sites that predate the refactor
-// (and ad-hoc tools) remain valid; anything that can run concurrently must
-// use a per-run Recorder instead.
+// land only in its own Recorder. There is no process-wide recorder: a nil
+// *Recorder is a valid, permanently disabled one, so a run that binds none
+// checks nothing.
 //
-// Usage at a check site, method form (preferred — r is the run's recorder,
-// captured from the engine at construction):
+// Usage at a check site (r is the run's recorder, captured from the engine
+// at construction):
 //
 //	if r.On() && start < enqueued {
 //		r.Failf("dram", "request issued %d ps before enqueue", enqueued-start)
@@ -22,8 +21,7 @@
 //
 // The condition and the Failf arguments are only evaluated when checking is
 // enabled, keeping the disabled path free of fmt traffic. The invgate lint
-// pass (internal/analysis) enforces the discipline for both the method and
-// the package-level form.
+// pass (internal/analysis) enforces the discipline.
 package inv
 
 import (
@@ -49,9 +47,8 @@ func (v Violation) String() string { return v.Component + ": " + v.Message }
 const maxRecorded = 256
 
 // Recorder holds the invariant-checking state for one run. The zero value
-// is ready to use (checking disabled, nothing recorded). A Recorder is safe
-// for concurrent use: concurrent runs that bind no recorder of their own
-// share the process-wide default one.
+// is ready to use (checking disabled, nothing recorded), and a nil
+// Recorder reports checking off. A Recorder is safe for concurrent use.
 type Recorder struct {
 	enabled atomic.Bool
 	total   atomic.Int64
@@ -63,24 +60,6 @@ type Recorder struct {
 // NewRecorder returns a fresh, disabled recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// std is the process-wide default recorder the package-level functions
-// delegate to.
-var std = NewRecorder()
-
-// Default returns the process-wide default recorder — the one the
-// package-level Enable/On/Failf operate on.
-func Default() *Recorder { return std }
-
-// Or returns r, or the default recorder when r is nil. Constructors use it
-// to normalise an optional recorder argument so check sites never need a
-// nil test.
-func Or(r *Recorder) *Recorder {
-	if r == nil {
-		return std
-	}
-	return r
-}
-
 // Enable switches invariant checking on or off. Enabling also clears any
 // previously recorded violations so a run starts from a clean slate.
 func (r *Recorder) Enable(on bool) {
@@ -90,9 +69,10 @@ func (r *Recorder) Enable(on bool) {
 	r.enabled.Store(on)
 }
 
-// On reports whether invariant checking is active. Check sites call this
-// first so the disabled path costs one atomic load.
-func (r *Recorder) On() bool { return r.enabled.Load() }
+// On reports whether invariant checking is active; it is false for a nil
+// recorder. Check sites call this first so the disabled path costs one
+// atomic load.
+func (r *Recorder) On() bool { return r != nil && r.enabled.Load() }
 
 // Failf records an invariant violation. It never panics: simulation
 // continues so a single failure cannot hide later, independent ones.
@@ -102,14 +82,6 @@ func (r *Recorder) Failf(component, format string, args ...interface{}) {
 	defer r.mu.Unlock()
 	if len(r.vios) < maxRecorded {
 		r.vios = append(r.vios, Violation{Component: component, Message: fmt.Sprintf(format, args...)})
-	}
-}
-
-// Check records a violation when cond is false. Prefer the `if r.On()`
-// form at hot sites; Check is for cold paths where brevity wins.
-func (r *Recorder) Check(cond bool, component, format string, args ...interface{}) {
-	if !cond {
-		r.Failf(component, format, args...)
 	}
 }
 
@@ -132,26 +104,3 @@ func (r *Recorder) Reset() {
 	r.mu.Unlock()
 	r.total.Store(0)
 }
-
-// Enable switches the default recorder's checking on or off.
-func Enable(on bool) { std.Enable(on) }
-
-// On reports whether the default recorder's checking is active.
-func On() bool { return std.On() }
-
-// Failf records an invariant violation on the default recorder.
-func Failf(component, format string, args ...interface{}) { std.Failf(component, format, args...) }
-
-// Check records a violation on the default recorder when cond is false.
-func Check(cond bool, component, format string, args ...interface{}) {
-	std.Check(cond, component, format, args...)
-}
-
-// Violations returns the default recorder's recorded violations.
-func Violations() []Violation { return std.Violations() }
-
-// Count reports the default recorder's total violation count.
-func Count() int64 { return std.Count() }
-
-// Reset clears the default recorder.
-func Reset() { std.Reset() }

@@ -6,23 +6,24 @@ import (
 )
 
 func TestDisabledByDefault(t *testing.T) {
-	Enable(false)
-	Reset()
-	if On() {
-		t.Fatal("recorder on without Enable")
+	if NewRecorder().On() {
+		t.Fatal("new recorder on without Enable")
+	}
+	var nilRec *Recorder
+	if nilRec.On() {
+		t.Fatal("nil recorder reports checking on")
 	}
 }
 
 func TestEnableRecordsAndResets(t *testing.T) {
-	Enable(true)
-	defer Enable(false)
-	Failf("demo", "value %d out of range", 7)
-	Check(false, "demo", "check form")
-	Check(true, "demo", "must not record")
-	if Count() != 2 {
-		t.Fatalf("Count = %d, want 2", Count())
+	r := NewRecorder()
+	r.Enable(true)
+	r.Failf("demo", "value %d out of range", 7)
+	r.Failf("demo", "second")
+	if r.Count() != 2 {
+		t.Fatalf("Count = %d, want 2", r.Count())
 	}
-	vs := Violations()
+	vs := r.Violations()
 	if len(vs) != 2 || vs[0].Component != "demo" || vs[0].Message != "value 7 out of range" {
 		t.Fatalf("violations = %v", vs)
 	}
@@ -30,67 +31,64 @@ func TestEnableRecordsAndResets(t *testing.T) {
 		t.Fatalf("String = %q", got)
 	}
 	// Re-enabling starts a clean slate.
-	Enable(true)
-	if Count() != 0 || len(Violations()) != 0 {
+	r.Enable(true)
+	if r.Count() != 0 || len(r.Violations()) != 0 {
 		t.Fatal("Enable(true) did not reset")
+	}
+	r.Enable(false)
+	if r.On() {
+		t.Fatal("Enable(false) left checking on")
 	}
 }
 
 func TestRecordingCap(t *testing.T) {
-	Enable(true)
-	defer Enable(false)
+	r := NewRecorder()
+	r.Enable(true)
 	for i := 0; i < maxRecorded+10; i++ {
-		Failf("cap", "violation %d", i)
+		r.Failf("cap", "violation %d", i)
 	}
-	if n := len(Violations()); n != maxRecorded {
+	if n := len(r.Violations()); n != maxRecorded {
 		t.Fatalf("stored %d violations, cap is %d", n, maxRecorded)
 	}
-	if Count() != int64(maxRecorded+10) {
-		t.Fatalf("Count = %d, want %d", Count(), maxRecorded+10)
+	if r.Count() != int64(maxRecorded+10) {
+		t.Fatalf("Count = %d, want %d", r.Count(), maxRecorded+10)
 	}
 }
 
 // TestRecorderIsolation proves independent recorders never share state:
-// failures on one are invisible to the others and to the package default.
+// failures on one are invisible to the other.
 func TestRecorderIsolation(t *testing.T) {
-	Reset()
 	a, b := NewRecorder(), NewRecorder()
 	a.Enable(true)
 	b.Enable(true)
 	a.Failf("iso", "a only")
-	if b.Count() != 0 || Count() != 0 {
-		t.Fatalf("violation leaked: b=%d default=%d", b.Count(), Count())
+	if b.Count() != 0 {
+		t.Fatalf("violation leaked: b=%d", b.Count())
 	}
 	if a.Count() != 1 {
 		t.Fatalf("a.Count = %d, want 1", a.Count())
 	}
-	if Or(nil) != Default() {
-		t.Fatal("Or(nil) is not the default recorder")
-	}
-	if Or(a) != a {
-		t.Fatal("Or(a) is not its argument")
-	}
 }
 
-// TestConcurrentFailf exercises the recorder from many goroutines under
+// TestConcurrentFailf exercises one recorder from many goroutines under
 // -race: Failf and Violations must be safe to interleave.
 func TestConcurrentFailf(t *testing.T) {
-	Enable(true)
-	defer Enable(false)
+	r := NewRecorder()
+	r.Enable(true)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				Failf("race", "g%d-%d", g, i)
-				_ = Violations()
-				_ = On()
+				r.Failf("race", "g%d-%d", g, i)
+				_ = r.Violations()
+				_ = r.On()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if Count() != 800 {
-		t.Fatalf("Count = %d, want 800", Count())
+	if r.Count() != 800 {
+		t.Fatalf("Count = %d, want 800", r.Count())
 	}
 }

@@ -28,8 +28,8 @@ type Tree struct {
 	// against the all-zero initial state.
 	macs map[uint64]uint64
 
-	// rec is the owning run's invariant recorder (never nil; defaults to
-	// the process-wide recorder until SetRecorder rebinds it).
+	// rec is the owning run's invariant recorder (nil, checking off, until
+	// SetRecorder binds one).
 	rec *inv.Recorder
 }
 
@@ -40,12 +40,12 @@ func New(space *addr.Space, org ctr.Organisation, eng *crypto.Engine) *Tree {
 	if !ok {
 		panic(fmt.Sprintf("itree: organisation %s does not serialize", org.Name()))
 	}
-	return &Tree{space: space, org: org, ser: ser, eng: eng, macs: make(map[uint64]uint64), rec: inv.Default()}
+	return &Tree{space: space, org: org, ser: ser, eng: eng, macs: make(map[uint64]uint64)}
 }
 
-// SetRecorder binds the owning run's invariant recorder (nil rebinds the
-// default). Call at construction time, before any traffic.
-func (t *Tree) SetRecorder(r *inv.Recorder) { t.rec = inv.Or(r) }
+// SetRecorder binds the owning run's invariant recorder (nil turns
+// checking off). Call at construction time, before any traffic.
+func (t *Tree) SetRecorder(r *inv.Recorder) { t.rec = r }
 
 // Space exposes the address map (for geometry queries).
 func (t *Tree) Space() *addr.Space { return t.space }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -29,8 +30,28 @@ func miniature(mode Mode, bench string, mutate func(*config.Config)) Scenario {
 	}
 }
 
+// recorded records refs references of bench at seed and the test scale,
+// and reads the stream back.
+func recorded(t *testing.T, bench string, seed uint64, refs int64) *trace.Trace {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := trace.Record(&buf, bench, 4, seed, refs, workload.TestScale()); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestScenarioKeyIgnoresLabel(t *testing.T) {
 	a := miniature(Functional, "canneal", nil)
+	// The key of a scenario without Replay is pinned: a change to the key
+	// derivation would orphan every result-cache entry.
+	if got, want := a.Key(), "2637f14d193de76024683a55"; got != want {
+		t.Fatalf("key = %s, want %s", got, want)
+	}
 	b := a
 	b.Label = "something else entirely"
 	if a.Key() != b.Key() {
@@ -54,6 +75,16 @@ func TestScenarioKeyIgnoresLabel(t *testing.T) {
 	f.Trace = true
 	if a.Key() == f.Key() {
 		t.Fatal("trace flag did not change the key")
+	}
+	g := a
+	g.Replay = recorded(t, "canneal", 1, 400)
+	if a.Key() == g.Key() {
+		t.Fatal("replaying a trace did not change the key")
+	}
+	h := g
+	h.Replay = recorded(t, "canneal", 2, 400)
+	if g.Key() == h.Key() {
+		t.Fatal("replays of different traces share a key")
 	}
 }
 
@@ -308,6 +339,13 @@ func TestExecuteSurfacesErrors(t *testing.T) {
 	p2.Add(bad)
 	if _, _, err := Execute(p2, Options{Workers: 1}); err == nil {
 		t.Fatal("invalid config did not error")
+	}
+	// A trace not loaded by trace.Read has no digest to key its replay by.
+	undigested := miniature(Functional, "canneal", nil)
+	undigested.Replay = recorded(t, "canneal", 1, 400)
+	undigested.Replay.Digest = ""
+	if _, err := undigested.Execute(); err == nil || !strings.Contains(err.Error(), "digest") {
+		t.Fatalf("replay without a digest: err = %v, want one naming the digest", err)
 	}
 }
 

@@ -47,10 +47,14 @@ type Memory struct {
 }
 
 // New builds a functional secure memory over dataBytes of protected space
-// using the given counter design and a 16-byte master key.
+// using the given counter design and a 16-byte master key; a key of any
+// other length is an error.
 func New(dataBytes int64, design config.CounterDesign, key []byte) (*Memory, error) {
 	if design == config.CtrNone {
 		return nil, fmt.Errorf("secmem: %v has no cryptography to model", design)
+	}
+	if len(key) != 16 {
+		return nil, fmt.Errorf("secmem: AES-128 needs a 16-byte key, got %d bytes", len(key))
 	}
 	if !design.HasCounters() {
 		// Counter-free direct-cipher designs: a data-only address space

@@ -3,6 +3,8 @@ package secmem
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -194,6 +196,19 @@ func TestAddressValidation(t *testing.T) {
 func TestNonSecureDesignRejected(t *testing.T) {
 	if _, err := New(1<<20, config.CtrNone, []byte("secmem test key!")); err == nil {
 		t.Fatal("CtrNone accepted")
+	}
+}
+
+// TestBadKeyLengthRejected: a key that is not 16 bytes is an error, not a
+// panic, on both the counter and the counter-free path.
+func TestBadKeyLengthRejected(t *testing.T) {
+	for _, d := range []config.CounterDesign{config.CtrMono, config.CtrBipBip} {
+		for _, n := range []int{15, 17} {
+			_, err := New(1<<20, d, make([]byte, n))
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("got %d bytes", n)) {
+				t.Errorf("%v with a %d-byte key: err = %v, want one naming the length", d, n, err)
+			}
+		}
 	}
 }
 

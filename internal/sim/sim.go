@@ -56,18 +56,18 @@ type Engine struct {
 	rec *inv.Recorder
 }
 
-// New returns a fresh engine with the clock at zero, bound to the default
-// invariant recorder (SetRecorder rebinds for isolated runs).
-func New() *Engine { return &Engine{rec: inv.Default()} }
+// New returns a fresh engine with the clock at zero and no invariant
+// recorder (checking off; SetRecorder binds one).
+func New() *Engine { return &Engine{} }
 
 // SetRecorder binds the run's invariant recorder. Call before constructing
-// components: they capture the binding at build time. A nil r rebinds the
-// process-wide default recorder.
-func (e *Engine) SetRecorder(r *inv.Recorder) { e.rec = inv.Or(r) }
+// components: they capture the binding at build time. A nil r turns
+// checking off.
+func (e *Engine) SetRecorder(r *inv.Recorder) { e.rec = r }
 
-// Recorder reports the run's invariant recorder (never nil; a zero-value
-// Engine reports the default recorder).
-func (e *Engine) Recorder() *inv.Recorder { return inv.Or(e.rec) }
+// Recorder reports the run's invariant recorder (nil when none is bound,
+// which every check site reads as "off").
+func (e *Engine) Recorder() *inv.Recorder { return e.rec }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -185,8 +185,8 @@ func (e *Engine) peek() *entry { return e.q.peek() }
 
 func (e *Engine) step() {
 	ev, cb := e.q.pop()
-	if rec := e.rec; rec != nil && rec.On() && ev.at < e.now {
-		rec.Failf("sim", "clock moved backwards: event at %d ps popped at now=%d ps", ev.at, e.now)
+	if e.rec.On() && ev.at < e.now {
+		e.rec.Failf("sim", "clock moved backwards: event at %d ps popped at now=%d ps", ev.at, e.now)
 	}
 	e.now = ev.at
 	e.steps++

@@ -19,7 +19,9 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -145,10 +147,14 @@ type Trace struct {
 	Footprint int64
 	// PerCore holds each core's access stream.
 	PerCore [][]workload.Access
+	// Digest is the hex SHA-256 of the stream Read verified. It names the
+	// trace's content, which the trailer's CRC-32C only guards against
+	// damage; a Trace not loaded by Read has none.
+	Digest string
 }
 
 // Read loads a complete trace from r, verifying its trailer and that
-// every access lies inside the footprint.
+// every access lies inside the footprint, and stamps its Digest.
 func Read(r io.Reader) (*Trace, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -258,6 +264,8 @@ func Read(r io.Reader) (*Trace, error) {
 	if want, got := binary.LittleEndian.Uint32(data[summed:]), crc32.Checksum(data[:summed], castagnoli()); got != want {
 		return nil, fmt.Errorf("trace: checksum mismatch: trailer %#08x, stream %#08x", want, got)
 	}
+	sum := sha256.Sum256(data)
+	tr.Digest = hex.EncodeToString(sum[:])
 	return tr, nil
 }
 
@@ -296,8 +304,13 @@ func (r *replayer) Next() workload.Access {
 }
 
 // Record captures `refs` references (round-robin across cores) from a
-// synthetic benchmark into w.
+// synthetic benchmark into w. Each core records refs/cores of them; a
+// budget that leaves a core none is an error, since the trace could not
+// be replayed.
 func Record(w io.Writer, bench string, cores int, seed uint64, refs int64, sc workload.Scale) (int64, error) {
+	if refs < int64(cores) {
+		return 0, fmt.Errorf("trace: %d references leave some of %d cores none", refs, cores)
+	}
 	gens, err := workload.NewSet(bench, cores, seed, sc)
 	if err != nil {
 		return 0, err

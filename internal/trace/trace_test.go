@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"math"
 	"strings"
@@ -38,12 +40,16 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	sum := sha256.Sum256(buf.Bytes())
 	tr, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Name != "demo" || tr.Cores != 2 || tr.Footprint != 1<<20 {
 		t.Fatalf("header = %+v", tr)
+	}
+	if tr.Digest != hex.EncodeToString(sum[:]) {
+		t.Fatalf("Digest = %q, want the SHA-256 of the stream", tr.Digest)
 	}
 	if len(tr.PerCore[0]) != 2 || len(tr.PerCore[1]) != 2 {
 		t.Fatalf("per-core counts: %d/%d", len(tr.PerCore[0]), len(tr.PerCore[1]))
@@ -309,6 +315,9 @@ func TestRecordUnknownBenchmark(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := Record(&buf, "nosuch", 2, 1, 100, workload.TestScale()); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+	if _, err := Record(&buf, "canneal", 4, 1, 3, workload.TestScale()); err == nil || buf.Len() != 0 {
+		t.Fatalf("3 references over 4 cores: err = %v after %d bytes, want an error before any", err, buf.Len())
 	}
 }
 

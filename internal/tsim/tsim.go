@@ -45,9 +45,9 @@ type Options struct {
 	// DataBytes must then bound every address they emit.
 	Generators []workload.Generator
 	DataBytes  int64
-	// Recorder, when non-nil, receives this run's invariant violations
-	// instead of the process-wide default recorder — concurrent runs in one
-	// process each keep their own ledger.
+	// Recorder, when non-nil, receives this run's invariant violations;
+	// nil runs with checking off. Concurrent runs in one process each keep
+	// their own ledger.
 	Recorder *inv.Recorder
 }
 
@@ -84,7 +84,7 @@ type Sim struct {
 	l2s     []*l2Ctl
 	cpus    []*core
 	pol     emcc.Policy
-	ivr     *inv.Recorder // this run's invariant recorder (never nil)
+	ivr     *inv.Recorder // this run's invariant recorder (nil = checking off)
 	trc     *obs.Tracer   // nil = tracing disabled (the common case)
 
 	rec       *metrics.Recorder // nil = flight recording disabled
@@ -131,12 +131,12 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 		eng:  sim.New(),
 		st:   stats.NewSet(),
 		mesh: noc.New(cfg.MeshCols, cfg.MeshRows, cfg.NoCHopLatency, cfg.NoCBaseOneWay),
-		ivr:  inv.Or(opt.Recorder),
+		ivr:  opt.Recorder,
 	}
 	// Bind the run's recorder to the engine before any component grabs it:
 	// every eng.Recorder() call below must see this run's ledger.
 	s.eng.SetRecorder(s.ivr)
-	s.pol = emcc.NewPolicyRec(cfg, s.mesh, s.ivr)
+	s.pol = emcc.NewPolicy(cfg, s.mesh, s.ivr)
 	s.dram = dram.New(s.eng, s.st, cfg)
 	s.buildSlices()
 	s.mc = newMCCtl(s, dataBytes)

