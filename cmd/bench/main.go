@@ -9,7 +9,7 @@
 // tsim end-to-end throughput (single workload and the 4-core co-run), and
 // one full verification-harness run (check.Run at 2 k references on one
 // goroutine) — and emits one machine-readable JSON artifact. The
-// BENCH_*.json files in the repo root record earlier runs (BENCH_20.json
+// BENCH_*.json files in the repo root record earlier runs (BENCH_22.json
 // is the newest); CI regenerates the artifact on every push and uploads it
 // for trend inspection.
 //

@@ -29,9 +29,11 @@
 //
 // -record writes the -bench/-seed/-refs/-small reference stream, interleaved
 // over the configuration's cores, to a trace file (internal/trace) and
-// exits. -replay runs a recorded trace in place of a synthetic benchmark:
-// the trace fixes the benchmark, seed and scale, so those flags are errors
-// beside it, and without -refs the run covers the file once. A replay is
+// exits; any other flag beside it but the profile flags is an error, since
+// the recording would ignore it. -replay runs a recorded trace in place of
+// a synthetic benchmark: the trace fixes the benchmark, seed and scale, so
+// those flags are errors beside it, and without -refs the run covers the
+// file once. A replay is
 // an ordinary scenario keyed by the trace's SHA-256, so every other flag
 // applies to it.
 package main
@@ -116,6 +118,9 @@ func run(args []string, stdout io.Writer) (err error) {
 		record   = fs.String("record", "", "write the -bench/-seed/-refs/-small reference stream to trace `file` and exit")
 		replay   = fs.String("replay", "", "replay the recorded trace `file` instead of a synthetic benchmark (one pass unless -refs is set)")
 	)
+	// Every flag but the profile flags, which Register adds below.
+	simFlag := map[string]bool{}
+	fs.VisitAll(func(f *flag.Flag) { simFlag[f.Name] = true })
 	prof := profile.Register(fs, "emccsim")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -128,6 +133,21 @@ func run(args []string, stdout io.Writer) (err error) {
 	for _, name := range []string{"record", "bench", "seed", "small"} {
 		if *replay != "" && set[name] {
 			return fmt.Errorf("-%s cannot be combined with -replay: the trace fixes the benchmark, seed and scale it replays", name)
+		}
+	}
+	if *record != "" {
+		extra := ""
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "record", "bench", "seed", "refs", "small":
+			default:
+				if simFlag[f.Name] && extra == "" {
+					extra = f.Name
+				}
+			}
+		})
+		if extra != "" {
+			return fmt.Errorf("-%s cannot be combined with -record: a recording takes only -bench, -seed, -refs, -small and the profile flags", extra)
 		}
 	}
 	if err := prof.Start(); err != nil {

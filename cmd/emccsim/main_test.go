@@ -184,6 +184,61 @@ func TestReplayFlagConflicts(t *testing.T) {
 	}
 }
 
+// TestRecordRejectsIgnoredFlags: a recording writes only the
+// -bench/-seed/-refs/-small stream, so every other flag but the profile
+// flags is an error naming the flag, and neither the trace nor any file a
+// flag names is written. The profile flags are accepted.
+func TestRecordRejectsIgnoredFlags(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out")
+	for _, tc := range [][]string{
+		{"-mode", "timing"},
+		{"-system", "emcc"},
+		{"-warmup", "1000"},
+		{"-json"},
+		{"-cache", filepath.Join(dir, "cache")},
+		{"-trace", out},
+		{"-sample", "4"},
+		{"-flight", out},
+		{"-openmetrics", out},
+		{"-llc-mb", "4"},
+		{"-ctr-kb", "64"},
+		{"-aes-ns", "20"},
+		{"-channels", "2"},
+		{"-aes-frac", "0.5"},
+		{"-l2ctr-kb", "16"},
+		{"-xpt"},
+		{"-prefetch", "2"},
+		{"-dynamic-off"},
+		{"-list"},
+	} {
+		path := filepath.Join(dir, "rec.trc")
+		var stdout strings.Builder
+		args := append([]string{"-record", path, "-small", "-refs", "1000"}, tc...)
+		err := run(args, &stdout)
+		if err == nil || !strings.Contains(err.Error(), tc[0]+" cannot be combined with -record") {
+			t.Errorf("%v: err = %v, want one naming %s", tc, err, tc[0])
+		}
+		for _, p := range []string{path, out, filepath.Join(dir, "cache")} {
+			if _, serr := os.Stat(p); serr == nil {
+				t.Errorf("%v wrote %s", tc, p)
+			}
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v printed %q", tc, stdout.String())
+		}
+	}
+	path, prof := filepath.Join(dir, "rec.trc"), filepath.Join(dir, "cpu.pprof")
+	if err := run([]string{"-record", path, "-small", "-bench", "mcf", "-seed", "2", "-refs", "1000", "-cpuprofile", prof}, io.Discard); err != nil {
+		t.Fatalf("-record with the profile flags: %v", err)
+	}
+	for _, p := range []string{path, prof} {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("-record with -cpuprofile: %v", err)
+		}
+	}
+}
+
 // TestReplayUsesResultCache: a replay is a scenario like any other, so a
 // second replay of the same file reads the first one's cached outcome.
 func TestReplayUsesResultCache(t *testing.T) {

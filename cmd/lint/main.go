@@ -1,8 +1,8 @@
 // Command lint runs the project's static-analysis suite (internal/
 // analysis) over the module, four per-package passes: statskey (stats-key
 // registry discipline), detlint (determinism of golden-compared output),
-// obsnil (nil-safe tracer call sites) and invgate (inv.Failf behind
-// inv.On()).
+// obsnil (nil-safe tracer call sites) and invgate (a recorder's Failf
+// behind its On()).
 //
 // Usage:
 //

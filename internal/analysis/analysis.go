@@ -11,8 +11,8 @@
 //   - detlint: packages that produce golden or byte-compared output must
 //     not consult wall time (time.Now), the global math/rand source, or
 //     emit output while iterating a map (iteration order is random).
-//   - invgate: inv.Failf / inv.Fail call sites must be dominated by an
-//     inv.On() check so production runs pay one branch per site.
+//   - invgate: (*inv.Recorder).Failf / Fail call sites must be dominated
+//     by an On() check so production runs pay one branch per site.
 //   - obsnil: direct method calls on a possibly-nil *obs.Tracer are only
 //     legal on the documented nil-safe set (tracerNilSafe in
 //     internal/obs).

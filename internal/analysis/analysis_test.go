@@ -24,27 +24,27 @@ func fixtureRun(t *testing.T, patterns ...string) *Result {
 // module: every positive case yields its one finding, and nothing in
 // good/, the stub packages, or the blessed figures patterns leaks one.
 func TestFixtureFindings(t *testing.T) {
-	const invgateSuffix = " is not dominated by an inv.On() check (wrap the site in `if inv.On()` so disabled runs pay one branch)"
+	const invgateSuffix = " is not dominated by an On() check (wrap the site in `if rec.On()` so disabled runs pay one branch)"
 	want := []string{
 		`bad/bad.go:15: [statskey] unregistered stats key "fixture/unregistered" (declare it in internal/stats/keys.go)`,
 		`bad/bad.go:21: [statskey] stats key passed to Add does not resolve to a compile-time constant (register it in internal/stats/keys.go, or annotate the site //lint:dynamic-key if the family is dynamic by design)`,
-		"bad/bad.go:27: [invgate] inv.Failf" + invgateSuffix,
-		"bad/bad.go:32: [invgate] inv.Fail" + invgateSuffix,
+		"bad/bad.go:27: [invgate] (*inv.Recorder).Failf" + invgateSuffix,
+		"bad/bad.go:32: [invgate] (*inv.Recorder).Fail" + invgateSuffix,
 		`bad/bad.go:38: [obsnil] (*obs.Tracer).Record is outside the documented nil-safe set; a disabled (nil) tracer would panic here (guard the receiver or extend tracerNilSafe in internal/obs)`,
 		`bad/bad.go:45: [lint] malformed suppression: want //lint:ignore <pass> <reason>`,
 		`bad/bad.go:46: [statskey] unregistered stats key "fixture/also-unregistered" (declare it in internal/stats/keys.go)`,
 		`bad/bad.go:52: [statskey] unregistered stats key "fixture/unregistered-ref" (declare it in internal/stats/keys.go)`,
 		`bad/bad.go:58: [statskey] unregistered stats key "fixture/unregistered-hist" (declare it in internal/stats/keys.go)`,
-		"bad/bad.go:64: [invgate] inv.Failf" + invgateSuffix,
-		"bad/bad.go:70: [invgate] inv.Fail" + invgateSuffix,
+		"bad/bad.go:64: [invgate] (*inv.Recorder).Failf" + invgateSuffix,
+		"bad/bad.go:70: [invgate] (*inv.Recorder).Fail" + invgateSuffix,
 		`internal/figures/figures.go:14: [detlint] time.Now in a deterministic-output package (golden/compared output must not depend on wall time)`,
 		`internal/figures/figures.go:19: [detlint] package-level math/rand draws from the global source; use a locally seeded *rand.Rand`,
 		`internal/figures/figures.go:24: [detlint] iteration over a map reaches output (fmt.Println at line 25) without an intervening sort; collect and sort the keys first`,
 		`internal/figures/figures.go:51: [detlint] iteration over a map reaches output (fmt.Println at line 53) only through a nested map iteration; the outer order is nondeterministic too — sort the keys at every level`,
 		`internal/figures/figures.go:52: [detlint] iteration over a map reaches output (fmt.Println at line 53) without an intervening sort; collect and sort the keys first`,
-		"invflow/invflow.go:13: [invgate] inv.Failf" + invgateSuffix,
-		`invflow/invflow.go:26: [invgate] inv.Failf taken as a function value escapes the inv.On() gating discipline (call it directly under a guard)`,
-		`invflow/invflow.go:32: [invgate] inv.Fail taken as a function value escapes the inv.On() gating discipline (call it directly under a guard)`,
+		"invflow/invflow.go:13: [invgate] (*inv.Recorder).Failf" + invgateSuffix,
+		`invflow/invflow.go:26: [invgate] (*inv.Recorder).Failf taken as a value escapes the On() gating discipline (call it directly under a guard)`,
+		`invflow/invflow.go:32: [invgate] (*inv.Recorder).Fail taken as a value escapes the On() gating discipline (call it directly under a guard)`,
 		`suppress/suppress.go:17: [lint] unused suppression: no invgate finding here — remove the //lint:ignore or restore the violation it documented`,
 	}
 	res := fixtureRun(t)
@@ -64,7 +64,7 @@ func TestFixtureFindings(t *testing.T) {
 
 // TestFixtureOneDiagnosticPerCase asserts the acceptance cases each
 // yield exactly one diagnostic: an unregistered stats key, a time.Now in
-// internal/figures, an unguarded inv.Failf, a bare inv.Failf whose only
+// internal/figures, an unguarded rec.Failf, a bare rec.Failf whose only
 // caller guards, a fail function taken as a value, and a stale
 // suppression.
 func TestFixtureOneDiagnosticPerCase(t *testing.T) {
@@ -79,16 +79,16 @@ func TestFixtureOneDiagnosticPerCase(t *testing.T) {
 		{"time.Now in figures", func(f Finding) bool {
 			return f.Pass == "detlint" && f.File == "internal/figures/figures.go" && strings.Contains(f.Msg, "time.Now")
 		}},
-		{"unguarded inv.Failf", func(f Finding) bool {
-			return f.Pass == "invgate" && strings.Contains(f.Msg, "inv.Failf") && f.Line == 27
+		{"unguarded field-held Failf", func(f Finding) bool {
+			return f.Pass == "invgate" && strings.Contains(f.Msg, "Recorder).Failf") && f.Line == 27
 		}},
-		{"unguarded recorder-method Failf", func(f Finding) bool {
-			return f.Pass == "invgate" && strings.Contains(f.Msg, "inv.Failf") && f.Line == 64
+		{"unguarded Failf on a handed recorder", func(f Finding) bool {
+			return f.Pass == "invgate" && strings.Contains(f.Msg, "Recorder).Failf") && f.Line == 64
 		}},
 		{"bare Failf behind a guarding caller", func(f Finding) bool {
 			return f.Pass == "invgate" && f.File == "invflow/invflow.go" && f.Line == 13
 		}},
-		{"inv.Failf taken as a value", func(f Finding) bool {
+		{"Failf taken as a value", func(f Finding) bool {
 			return f.Pass == "invgate" && f.File == "invflow/invflow.go" && f.Line == 26
 		}},
 		{"stale suppression audited", func(f Finding) bool {

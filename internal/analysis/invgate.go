@@ -6,28 +6,25 @@ import (
 )
 
 // invgate enforces the invariant-gating discipline of internal/inv: every
-// inv.Failf / inv.Fail call must be dominated by an inv.On() check, so a
-// production run pays exactly one predictable branch per check site and
-// never evaluates the format arguments. The rule covers both the package
-// functions and the per-run recorder's methods — rec.Failf resolves to the
-// same internal/inv symbols, and rec.On() satisfies the guard the same way
-// inv.On() does. Accepted guards:
+// (*inv.Recorder).Failf or Fail call must be dominated by a
+// (*inv.Recorder).On() check. A run that checks nothing holds a nil or
+// disabled recorder, so it pays exactly one predictable branch per check
+// site and never evaluates the format arguments. Accepted guards:
 //
-//	if inv.On() && cond { inv.Failf(...) }          // condition guard
-//	if inv.On() { ... inv.Failf(...) ... }          // block guard
-//	on := inv.On(); ...; if on && cond { ... }      // hoisted guard
-//	if !inv.On() { return }; ...; inv.Failf(...)    // early return
-//	if rec := x.rec; rec.On() { rec.Failf(...) }    // recorder-method form
+//	if rec.On() && cond { rec.Failf(...) }          // condition guard
+//	if rec.On() { ... rec.Failf(...) ... }          // block guard
+//	on := rec.On(); ...; if on && cond { ... }      // hoisted guard
+//	if !rec.On() { return }; ...; rec.Failf(...)    // early return
+//	if rec := x.rec; rec.On() { rec.Failf(...) }    // the hot paths' form
 //
-// The guard must dominate the site itself: a helper whose Failf is bare
-// is a finding even when every caller guards, because the rule has to
-// hold for the next caller too.
+// The guard is any recorder's On(); the pass does not match receivers.
+// It must dominate the site itself: a helper whose Failf is bare is a
+// finding even when every caller guards, because the rule has to hold
+// for the next caller too.
 //
-// Taking inv.Failf / inv.Fail as a function value is always a finding:
-// once the value escapes, no static analysis can keep the invocation
-// behind a guard.
-//
-// inv.Check is exempt: it is documented as the ungated cold-path form.
+// Taking Failf or Fail as a method value or method expression is always
+// a finding: once the value escapes, no static analysis can keep the
+// invocation behind a guard.
 type invgate struct{}
 
 func (invgate) name() string { return "invgate" }
@@ -46,20 +43,20 @@ func (invgate) run(ctx *context, pkg *Package) {
 				return
 			}
 			ctx.reportf("invgate", n.Pos(),
-				"inv.%s is not dominated by an inv.On() check (wrap the site in `if inv.On()` so disabled runs pay one branch)", fn.Name())
+				"(*inv.Recorder).%s is not dominated by an On() check (wrap the site in `if rec.On()` so disabled runs pay one branch)", fn.Name())
 		case *ast.Ident:
 			fn, _ := info.Uses[n].(*types.Func)
 			if !isInvFail(fn) || inCallPosition(n, stack) {
 				return
 			}
 			ctx.reportf("invgate", n.Pos(),
-				"inv.%s taken as a function value escapes the inv.On() gating discipline (call it directly under a guard)", fn.Name())
+				"(*inv.Recorder).%s taken as a value escapes the On() gating discipline (call it directly under a guard)", fn.Name())
 		}
 	})
 }
 
-// isInvFail reports whether fn is internal/inv's Failf or Fail (package
-// function or Recorder method).
+// isInvFail reports whether fn is internal/inv's Failf or Fail, the
+// Recorder's reporting methods.
 func isInvFail(fn *types.Func) bool {
 	if fn == nil || fn.Pkg() == nil || !pathIs(fn.Pkg().Path(), "internal/inv") {
 		return false
@@ -95,8 +92,8 @@ func inCallPosition(expr ast.Expr, stack []ast.Node) bool {
 	return false
 }
 
-// collectGuardVars finds local variables bound to an inv.On() result
-// ("on := inv.On()" or "on := inv.On() && …").
+// collectGuardVars finds local variables bound to an On() result
+// ("on := rec.On()" or "on := rec.On() && …").
 func collectGuardVars(pkg *Package) map[types.Object]bool {
 	guards := make(map[types.Object]bool)
 	for _, f := range pkg.Files {
@@ -126,7 +123,7 @@ func collectGuardVars(pkg *Package) map[types.Object]bool {
 }
 
 // guardedByOn reports whether the node at the top of stack is dominated
-// by an inv.On() check.
+// by an On() check.
 func guardedByOn(info *types.Info, guards map[types.Object]bool, stack []ast.Node) bool {
 	for i := len(stack) - 1; i >= 0; i-- {
 		ifStmt, ok := stack[i].(*ast.IfStmt)
@@ -143,7 +140,7 @@ func guardedByOn(info *types.Info, guards map[types.Object]bool, stack []ast.Nod
 				return true
 			}
 		}
-		// Early-return dominance: a preceding `if !inv.On() { return }`
+		// Early-return dominance: a preceding `if !rec.On() { return }`
 		// sibling in any enclosing block.
 		block, ok := stack[i].(*ast.BlockStmt)
 		if !ok || i+1 >= len(stack) {
@@ -166,7 +163,7 @@ func guardedByOn(info *types.Info, guards map[types.Object]bool, stack []ast.Nod
 	return false
 }
 
-// assertsOn reports whether cond being true implies inv.On() returned
+// assertsOn reports whether cond being true implies an On() call returned
 // true: the call itself, a guard variable, or an && chain containing
 // either. Under || neither operand is implied, so it does not count.
 func assertsOn(info *types.Info, guards map[types.Object]bool, cond ast.Expr) bool {
@@ -184,8 +181,8 @@ func assertsOn(info *types.Info, guards map[types.Object]bool, cond ast.Expr) bo
 	return false
 }
 
-// assertsOff reports whether cond being true implies inv.On() returned
-// false. Only the straightforward negation forms `!inv.On()` and
+// assertsOff reports whether cond being true implies an On() call
+// returned false. Only the straightforward negation forms `!rec.On()` and
 // `!guard` qualify; composite conditions give no such guarantee.
 func assertsOff(info *types.Info, guards map[types.Object]bool, cond ast.Expr) bool {
 	e := ast.Unparen(cond)

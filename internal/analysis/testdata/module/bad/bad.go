@@ -21,15 +21,15 @@ func Dynamic(s *stats.Set, name string) {
 	s.Add("fixture/"+name, 1)
 }
 
-// Unguarded calls inv.Failf with no inv.On() dominator: one invgate
-// finding.
-func Unguarded(n int) {
-	inv.Failf("bad", "unguarded %d", n)
+// Unguarded calls Failf on its recorder with no On() dominator: one
+// invgate finding.
+func (c *Component) Unguarded(n int) {
+	c.rec.Failf("bad", "unguarded %d", n)
 }
 
 // UnguardedFail covers the non-formatting form: one invgate finding.
-func UnguardedFail() {
-	inv.Fail("bad", "unguarded")
+func (c *Component) UnguardedFail() {
+	c.rec.Fail("bad", "unguarded")
 }
 
 // NotNilSafe calls a method outside the documented nil-safe set: one
@@ -58,14 +58,18 @@ func UnregisteredHistRef(s *stats.Set) *stats.Hist {
 	return s.HistRef("fixture/unregistered-hist")
 }
 
-// UnguardedMethod calls the recorder-method form of Failf with no
-// On() dominator: one invgate finding.
+// UnguardedMethod calls Failf on a recorder it is handed, with no On()
+// dominator: one invgate finding.
 func UnguardedMethod(r *inv.Recorder, n int) {
 	r.Failf("bad", "unguarded method %d", n)
 }
 
-// UnguardedMethodFail covers the recorder-method non-formatting form:
+// UnguardedMethodFail covers the handed recorder's non-formatting form:
 // one invgate finding.
 func UnguardedMethodFail(r *inv.Recorder) {
 	r.Fail("bad", "unguarded method")
 }
+
+// Component holds its invariant recorder in a field, as the simulators'
+// components do.
+type Component struct{ rec *inv.Recorder }

@@ -30,37 +30,42 @@ func Suppressed(s *stats.Set) {
 	s.Inc("fixture/not-in-registry")
 }
 
-// BlockGuard wraps the failure in an inv.On() block.
-func BlockGuard(n int) {
-	if inv.On() {
+// Component holds its invariant recorder in a field, as the simulators'
+// components do.
+type Component struct{ rec *inv.Recorder }
+
+// BlockGuard wraps the failure in an On() block on the field.
+func (c *Component) BlockGuard(n int) {
+	if c.rec.On() {
 		if n < 0 {
-			inv.Failf("good", "negative %d", n)
+			c.rec.Failf("good", "negative %d", n)
 		}
 	}
 }
 
-// CondGuard folds the gate into an && chain.
-func CondGuard(n int) {
-	if inv.On() && n < 0 {
-		inv.Failf("good", "negative %d", n)
+// CondGuard binds the recorder in the if statement and folds the gate
+// into an && chain — the form the real hot paths use.
+func (c *Component) CondGuard(n int) {
+	if rec := c.rec; rec.On() && n < 0 {
+		rec.Failf("good", "negative %d", n)
 	}
 }
 
-// HoistedGuard binds inv.On() to a local first.
-func HoistedGuard(n int) {
-	check := inv.On()
+// HoistedGuard binds the field's On() result to a local first.
+func (c *Component) HoistedGuard(n int) {
+	check := c.rec.On()
 	if check && n < 0 {
-		inv.Fail("good", "negative")
+		c.rec.Fail("good", "negative")
 	}
 }
 
 // EarlyReturn bails out of checking up front.
-func EarlyReturn(n int) {
-	if !inv.On() {
+func (c *Component) EarlyReturn(n int) {
+	if !c.rec.On() {
 		return
 	}
 	if n < 0 {
-		inv.Failf("good", "negative %d", n)
+		c.rec.Failf("good", "negative %d", n)
 	}
 }
 
@@ -96,8 +101,8 @@ func RegisteredHist(s *stats.Set, i int) *stats.Hist {
 	return s.HistRef(histTable[i])
 }
 
-// MethodBlockGuard gates the recorder-method form on the recorder's
-// own On.
+// MethodBlockGuard gates Failf on a recorder it is handed on that
+// recorder's own On.
 func MethodBlockGuard(r *inv.Recorder, n int) {
 	if r.On() {
 		if n < 0 {
@@ -113,8 +118,8 @@ func MethodCondGuard(r *inv.Recorder, n int) {
 	}
 }
 
-// MethodHoistedGuard binds the recorder's On() result to a local first
-// — the `rec := x.rec; if rec.On()` idiom the real hot paths use.
+// MethodHoistedGuard binds the handed recorder's On() result to a
+// local first.
 func MethodHoistedGuard(r *inv.Recorder, n int) {
 	check := r.On()
 	if check && n < 0 {

@@ -1,22 +1,12 @@
-// Package inv is the fixture's stand-in for the real internal/inv.
+// Package inv is the fixture's stand-in for the real internal/inv: a
+// per-run recorder, where a nil recorder means checking is off.
 package inv
 
-var enabled = true
-
-// On reports whether invariant checking is enabled.
-func On() bool { return enabled }
-
-// Failf reports an invariant violation.
-func Failf(component, format string, args ...any) {}
-
-// Fail reports an invariant violation with a fixed message.
-func Fail(component, message string) {}
-
 // Recorder is the fixture's stand-in for the real per-run recorder.
-type Recorder struct{}
+type Recorder struct{ enabled bool }
 
 // On reports whether this recorder records violations.
-func (r *Recorder) On() bool { return enabled }
+func (r *Recorder) On() bool { return r != nil && r.enabled }
 
 // Failf reports an invariant violation on this recorder.
 func (r *Recorder) Failf(component, format string, args ...any) {}

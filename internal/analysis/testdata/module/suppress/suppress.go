@@ -6,9 +6,9 @@ import "fixture/internal/inv"
 
 // Used documents a deliberate ungated failure: the marker suppresses the
 // invgate finding and therefore passes the audit.
-func Used() {
+func Used(r *inv.Recorder) {
 	//lint:ignore invgate fixture: deliberate ungated failure path
-	inv.Failf("suppress", "deliberate")
+	r.Failf("suppress", "deliberate")
 }
 
 // Stale carries a suppression with nothing left to suppress: the audit

@@ -68,7 +68,9 @@ func (r Result) String() string {
 type Options struct {
 	// Seed drives trace recording and workload generation.
 	Seed uint64
-	// Refs is the total memory references per simulated run.
+	// Refs is the total memory references per simulated run, except
+	// tsim-channel-qdelay's: that check replays its own 4-core trace of a
+	// fixed 30 k references (channelRefs), sized by its measured margin.
 	Refs int64
 	// Benchmark is the synthetic workload the differential trace records.
 	Benchmark string
@@ -111,12 +113,12 @@ func (o Options) withDefaults() Options {
 // differential, metamorphic and invariant alike — run on opt.Parallel
 // workers over one read-only recorded trace. They share one thing besides
 // it: a per-Run simMemo that simulates each distinct replay of that trace
-// (and of channelQueueing's heavier one) once and hands the same
+// (and of channelQueueing's own one) once and hands the same
 // read-only result to every unit that asks for it. Everything else a unit
 // runs — invariant-recorded and traced runs among them — it builds and
 // owns outright. The workers first fill channelQueueing's two replays,
-// the Run's longest tasks, so they do not start last and finish after
-// everything else; then they take the units in list order. Results land
+// the longest tasks of a small-budget Run, so they do not start last and
+// finish after everything else; then they take the units in list order. Results land
 // in fixed slots, so the report order — and with deterministic
 // simulators, every byte of it — is identical at any parallelism.
 func Run(opt Options) []Result {
@@ -136,10 +138,10 @@ func run(opt Options) ([]Result, *simMemo) {
 	units := append(diffUnits(m), metamorphicUnits(m)...)
 	units = append(units, invariantUnits(m.tr, opt)...)
 	slots := make([][]Result, len(units))
-	// The first two tasks fill channelQueueing's replays, the Run's
-	// longest; a replay's error is left for the unit that reads it. The
-	// second to finish releases their 120 k-reference trace, which would
-	// otherwise stay live, and raise peak memory, for the rest of the Run.
+	// The first two tasks fill channelQueueing's replays, the longest at
+	// small budgets; a replay's error is left for the unit that reads it. The
+	// second to finish releases their trace, which would otherwise stay
+	// live, and raise peak memory, for the rest of the Run.
 	var filled atomic.Int32
 	var tasks []func()
 	for _, channels := range []int{1, 4} {

@@ -1,11 +1,13 @@
 package check
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // quickOpt keeps the harness tests fast; the full budget runs in cmd/check.
@@ -40,6 +42,62 @@ func TestDifferentialDetectsMismatchedConfigs(t *testing.T) {
 // TestMetamorphicPasses covers the analytic grid and the tsim properties.
 func TestMetamorphicPasses(t *testing.T) {
 	requireAllPass(t, Metamorphic(quickOpt))
+}
+
+// channelMarginRatio is the least 1-channel/4-channel mean data-read
+// queuing-delay ratio TestChannelQueueingMargin accepts: well below the
+// 3.31× minimum measured over canneal seeds 1–100 on channelQueueing's
+// trace, well above the 1× of a DRAM model that ignores the channel count.
+const channelMarginRatio = 2.0
+
+// channelMargin is TestChannelQueueingMargin's assertion on the mean
+// data-read queuing delays d1 and dN of one trace at 1 and N channels.
+func channelMargin(d1, dN float64) error {
+	if d1 < channelMarginRatio*dN {
+		return fmt.Errorf("1-channel mean qdelay %.3f ns is under %.0f× the other's %.3f ns", d1, channelMarginRatio, dN)
+	}
+	return nil
+}
+
+// TestChannelQueueingMargin pins the margin channelQueueing's fixed-length
+// trace was sized by. tsim-channel-qdelay only asks that 4 channels add no
+// queuing delay, so a DRAM model that ignores the channel count, whose
+// delays are equal, passes it. Here the single channel must queue at least
+// channelMarginRatio times as long, on cmd/check's seeds 12 and 13 and on
+// seed 3, the sweep's tightest at 30 k references; and the same assertion
+// on a 1-and-1-channel pair, the delays a channel-blind model reports,
+// must fail.
+func TestChannelQueueingMargin(t *testing.T) {
+	for _, seed := range []uint64{12, 13, 3} {
+		m := recordMemo(channelOptions(Options{Seed: seed}))
+		delay := func(channels int) float64 {
+			r, err := m.replay(channelConfig(channels))
+			if err != nil {
+				t.Fatalf("seed %d, %d channels: %v", seed, channels, err)
+			}
+			return r.st.Accum(stats.DramQDelayDataRead).Mean()
+		}
+		d1, d4 := delay(1), delay(4)
+		if err := channelMargin(d1, d4); err != nil {
+			t.Errorf("seed %d, 1 vs 4 channels: %v", seed, err)
+		}
+		if err := channelMargin(d1, delay(1)); err == nil {
+			t.Errorf("seed %d: the margin accepts a 1-and-1-channel pair at %.3f ns", seed, d1)
+		}
+	}
+}
+
+// TestChannelBudgetIsFixed: channelQueueing's trace is channelRefs long
+// whatever the check's budget, -quick included, and keeps the check's
+// seed and benchmark at no fewer than 4 cores.
+func TestChannelBudgetIsFixed(t *testing.T) {
+	for _, o := range []Options{{}, {Quick: true}, {Refs: 2_000}, {Refs: 500_000, Seed: 5, Cores: 8}} {
+		got, opt := channelOptions(o), o.withDefaults()
+		if got.Refs != channelRefs || got.Cores != max(opt.Cores, 4) || got.Seed != opt.Seed || got.Benchmark != opt.Benchmark {
+			t.Errorf("%+v: channel options %+v, want %d refs at %d cores, seed %d, %s",
+				o, got, channelRefs, max(opt.Cores, 4), opt.Seed, opt.Benchmark)
+		}
+	}
 }
 
 // TestTimelineDetectsBrokenEMCC proves the timeline property can fail: a

@@ -17,7 +17,7 @@ import (
 // of that trace once. The differential replay, the AES and in-SRAM
 // monotonicity runs, bipbip knob invariance and channel-qdelay dominance
 // all ask it for their runs by config, so a config several of them need
-// is simulated once and read by all of them. channelQueueing's heavier
+// is simulated once and read by all of them. channelQueueing's own
 // trace has a memo of its own, channels, which Run fills first.
 //
 // Only plain replays are shared: runs with a recorder, tracer or flight

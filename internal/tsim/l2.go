@@ -108,9 +108,21 @@ type l2Ctl struct {
 	invCtrCB func(any)
 
 	// Cached stats cells (bound after warmup reset; see Sim.bindHot).
-	cDataMiss *int64
-	cPrefetch *int64
-	aMissLat  *stats.Accumulator
+	cDataMiss      *int64
+	cPrefetch      *int64
+	cOffloadQueue  *int64
+	cDynamicOff    *int64
+	cCtrHit        *int64
+	cCtrMiss       *int64
+	cSpecFetch     *int64
+	cCtrInserted   *int64
+	cUseless       *int64
+	cDecryptAtMC   *int64
+	cDecryptAtL2   *int64
+	cBipBipDecrypt *int64
+	cInvalidations *int64
+	aMissLat       *stats.Accumulator
+	aExposure      *stats.Accumulator
 }
 
 func newL2Ctl(s *Sim, id int) *l2Ctl {
@@ -142,7 +154,19 @@ func (l *l2Ctl) bindHot() {
 	st := l.s.st
 	l.cDataMiss = st.CounterRef(stats.TsimL2DataMiss)
 	l.cPrefetch = st.CounterRef(stats.TsimL2Prefetch)
+	l.cOffloadQueue = st.CounterRef(stats.EmccOffloadQueue)
+	l.cDynamicOff = st.CounterRef(stats.EmccDynamicOffMiss)
+	l.cCtrHit = st.CounterRef(stats.EmccL2CtrHit)
+	l.cCtrMiss = st.CounterRef(stats.EmccL2CtrMiss)
+	l.cSpecFetch = st.CounterRef(stats.EmccSpecFetch)
+	l.cCtrInserted = st.CounterRef(stats.EmccCtrInserted)
+	l.cUseless = st.CounterRef(stats.EmccUseless)
+	l.cDecryptAtMC = st.CounterRef(stats.EmccDecryptAtMC)
+	l.cDecryptAtL2 = st.CounterRef(stats.EmccDecryptAtL2)
+	l.cBipBipDecrypt = st.CounterRef(stats.BipBipDecryptOps)
+	l.cInvalidations = st.CounterRef(stats.EmccInvalidations)
 	l.aMissLat = st.AccumRef(stats.TsimL2ReadMissLatencyPS)
+	l.aExposure = st.AccumRef(stats.TsimCryptoExposureL2PS)
 }
 
 func (l *l2Ctl) getReq() *readReq {
@@ -336,14 +360,14 @@ func (l *l2Ctl) missPath(req *readReq) {
 		if l.aes == nil || s.pol.ShouldOffload(l.aes.QueueDelay()) {
 			req.offload = true
 			req.tr.MarkOffload()
-			s.st.Inc(stats.EmccOffloadQueue)
+			*l.cOffloadQueue++
 		}
 		// Serial counter lookup in L2 during spare cycles ('J').
 		s.schedReq(tM+s.pol.LookupDelay, counterProbeCB, req)
 	} else if s.cfg.EMCC && s.secure() {
 		// Dynamic EMCC-off (Sec. IV-F): all cryptography at the MC.
 		req.offload = true
-		s.st.Inc(stats.EmccDynamicOffMiss)
+		*l.cDynamicOff++
 	}
 
 	// Data request to the block's home LLC slice.
@@ -373,7 +397,7 @@ func (l *l2Ctl) counterProbe(req *readReq) {
 	req.tr.AddSpan(obs.SegCtrProbeL2, req.missAt, t)
 	cb := s.mc.home.CounterBlockOf(req.block)
 	if l.c.Lookup(cb) {
-		s.st.Inc(stats.EmccL2CtrHit)
+		*l.cCtrHit++
 		req.ctrKnown = true
 		req.ctrReady = t + s.mc.decodeLat
 		req.tr.MarkCtr(obs.CtrAtL2)
@@ -381,8 +405,8 @@ func (l *l2Ctl) counterProbe(req *readReq) {
 		l.maybeStartAES(req)
 		return
 	}
-	s.st.Inc(stats.EmccL2CtrMiss)
-	s.st.Inc(stats.EmccSpecFetch)
+	*l.cCtrMiss++
+	*l.cSpecFetch++
 	req.tr.Begin(obs.SegCtrFetch, t)
 	j := s.mesh.SliceIndexOf(cb)
 	req.holdReq()
@@ -420,14 +444,14 @@ func (l *l2Ctl) missNote(req *readReq) {
 // insertCounter caches a counter block in L2 under the 32 KB cap with the
 // Fig 11 useless-fetch accounting.
 func (l *l2Ctl) insertCounter(cb uint64) {
-	l.s.st.Inc(stats.EmccCtrInserted)
+	*l.cCtrInserted++
 	v, ok := l.c.Insert(cb, false, addr.KindCounter)
 	if !ok {
 		return
 	}
 	if v.Kind == addr.KindCounter {
 		if !v.WasUsed {
-			l.s.st.Inc(stats.EmccUseless)
+			*l.cUseless++
 		}
 		return
 	}
@@ -471,7 +495,7 @@ func (l *l2Ctl) completePlain(req *readReq, fromMC bool) {
 		return
 	}
 	if fromMC {
-		l.s.st.Inc(stats.EmccDecryptAtMC)
+		*l.cDecryptAtMC++
 		if l.monitor != nil {
 			l.monitor.OnDRAMFill()
 		}
@@ -501,10 +525,10 @@ func (l *l2Ctl) maybeFinishCipher(req *readReq) {
 	if req.aesDone > at {
 		at = req.aesDone
 	}
-	l.s.st.Observe(stats.TsimCryptoExposureL2PS, float64(at-req.cipherAt))
+	l.aExposure.Observe(float64(at - req.cipherAt))
 	req.tr.MarkDecrypt(obs.DecAtL2, req.cipherAt, at)
 	at += sim.NS(1)
-	l.s.st.Inc(stats.EmccDecryptAtL2)
+	*l.cDecryptAtL2++
 	req.finishAt = at
 	l.s.schedReq(at, finishCipherCB, req)
 }
@@ -520,8 +544,8 @@ func (l *l2Ctl) bipbipArrived(req *readReq) {
 	}
 	at := l.s.eng.Now()
 	done := at + l.s.mc.bipbipLat
-	l.s.st.Inc(stats.BipBipDecryptOps)
-	l.s.st.Observe(stats.TsimCryptoExposureL2PS, float64(done-at))
+	*l.cBipBipDecrypt++
+	l.aExposure.Observe(float64(done - at))
 	req.tr.MarkDecrypt(obs.DecAtL2, at, done)
 	req.tr.AddSpan(obs.SegBipBipCipher, at, done)
 	req.finishAt = done
@@ -562,7 +586,7 @@ func (l *l2Ctl) fill(block uint64, dirty bool, at sim.Time) {
 func (l *l2Ctl) spillVictim(v cache.Victim) {
 	if v.Kind == addr.KindCounter {
 		if !v.WasUsed {
-			l.s.st.Inc(stats.EmccUseless)
+			*l.cUseless++
 		}
 		return
 	}
@@ -583,9 +607,9 @@ func (l *l2Ctl) spillVictim(v cache.Victim) {
 // invalidateCounter handles an MC counter-update invalidation (Fig 23).
 func (l *l2Ctl) invalidateCounter(cb uint64) {
 	if v, ok := l.c.Invalidate(cb); ok {
-		l.s.st.Inc(stats.EmccInvalidations)
+		*l.cInvalidations++
 		if !v.WasUsed {
-			l.s.st.Inc(stats.EmccUseless)
+			*l.cUseless++
 		}
 	}
 }

@@ -35,6 +35,16 @@ type llcSlice struct {
 	insertDataCB func(any)
 	insertMetaCB func(any)
 	metaProbeCB  func(any)
+
+	// Cached stats cells (bound after warmup reset; see Sim.bindHot).
+	cDataAccess    *int64
+	cDataMiss      *int64
+	cCtrLookup     *int64
+	cCtrHit        *int64
+	cCtrMiss       *int64
+	cSpecCtrLookup *int64
+	cSpecCtrHit    *int64
+	cSpecCtrMiss   *int64
 }
 
 // buildSlices constructs every LLC slice, one per core tile of the mesh.
@@ -61,11 +71,23 @@ func (s *Sim) buildSlices() {
 	}
 }
 
+func (g *llcSlice) bindHot() {
+	st := g.s.st
+	g.cDataAccess = st.CounterRef(stats.TsimLLCDataAccess)
+	g.cDataMiss = st.CounterRef(stats.TsimLLCDataMiss)
+	g.cCtrLookup = st.CounterRef(stats.TsimCtrLLCLookup)
+	g.cCtrHit = st.CounterRef(stats.TsimCtrLLCHit)
+	g.cCtrMiss = st.CounterRef(stats.TsimCtrLLCMiss)
+	g.cSpecCtrLookup = st.CounterRef(stats.TsimCtrSpecLLCLookup)
+	g.cSpecCtrHit = st.CounterRef(stats.TsimCtrSpecLLCHit)
+	g.cSpecCtrMiss = st.CounterRef(stats.TsimCtrSpecLLCMiss)
+}
+
 // dataAccess serves an L2 data miss arriving at its home slice.
 func (g *llcSlice) dataAccess(req *readReq) {
 	s := g.s
 	t := s.eng.Now()
-	s.st.Inc(stats.TsimLLCDataAccess)
+	*g.cDataAccess++
 	if g.c.Lookup(req.block) {
 		// On-chip data is already decrypted and verified.
 		req.tr.AddSpan(obs.SegLLCProbe, t, t+g.tagLat+g.dataLat)
@@ -75,7 +97,7 @@ func (g *llcSlice) dataAccess(req *readReq) {
 		g.toCore[req.l2.id].send(arr, completePlainLocalCB, req)
 		return
 	}
-	s.st.Inc(stats.TsimLLCDataMiss)
+	*g.cDataMiss++
 	req.tr.MarkLLCMiss()
 	req.tr.AddSpan(obs.SegLLCProbe, t, t+g.tagLat)
 	if s.cfg.EMCC && s.secure() {
@@ -100,19 +122,19 @@ func (g *llcSlice) dataAccess(req *readReq) {
 func (g *llcSlice) counterAccessFromL2(req *readReq, cb uint64) {
 	s := g.s
 	t := s.eng.Now()
-	s.st.Inc(stats.TsimCtrLLCLookup)
-	s.st.Inc(stats.TsimCtrSpecLLCLookup)
+	*g.cCtrLookup++
+	*g.cSpecCtrLookup++
 	if g.c.Lookup(cb) {
-		s.st.Inc(stats.TsimCtrLLCHit)
-		s.st.Inc(stats.TsimCtrSpecLLCHit)
+		*g.cCtrHit++
+		*g.cSpecCtrHit++
 		req.tr.MarkCtr(obs.CtrAtLLC)
 		arr := t + g.tagLat + g.dataLat + g.payloadPen + s.oneway(g.tile, req.l2.tile)
 		req.holdReq()
 		g.toCore[req.l2.id].send(arr, counterArrivedCB, req)
 		return
 	}
-	s.st.Inc(stats.TsimCtrLLCMiss)
-	s.st.Inc(stats.TsimCtrSpecLLCMiss)
+	*g.cCtrMiss++
+	*g.cSpecCtrMiss++
 	mcTile := s.mesh.MCTile(s.mesh.MCOf(cb))
 	req.holdReq()
 	g.toMC.send(t+g.tagLat+s.oneway(g.tile, mcTile), counterMissCB, req)
@@ -126,15 +148,15 @@ func (g *llcSlice) handleMetaProbe(a any) {
 	s := g.s
 	mb := s.unbox(a)
 	t := s.eng.Now()
-	s.st.Inc(stats.TsimCtrLLCLookup)
+	*g.cCtrLookup++
 	mcTile := s.mesh.MCTile(s.mesh.MCOf(mb))
 	if g.c.Lookup(mb) {
-		s.st.Inc(stats.TsimCtrLLCHit)
+		*g.cCtrHit++
 		arr := t + g.tagLat + g.dataLat + g.payloadPen + s.oneway(g.tile, mcTile)
 		g.toMC.send(arr, s.mc.metaProbeDoneCB, s.box(mb<<1|1))
 		return
 	}
-	s.st.Inc(stats.TsimCtrLLCMiss)
+	*g.cCtrMiss++
 	g.toMC.send(t+g.tagLat+s.oneway(g.tile, mcTile), s.mc.metaProbeDoneCB, s.box(mb<<1))
 }
 

@@ -45,6 +45,16 @@ type mcCtl struct {
 	wbDataCB        func(any) // boxed victim block from a slice (data)
 	wbMetaCB        func(any) // boxed victim block from a slice (metadata)
 	metaProbeDoneCB func(any) // packed mb<<1|hit probe reply from a slice
+
+	// Cached stats cells (bound after warmup reset; see Sim.bindHot).
+	cRejected       *int64
+	cDataFill       *int64
+	cCtrMissOnchip  *int64
+	cQueueFullRetry *int64
+	cInSRAMDecrypt  *int64
+	cInSRAMEncrypt  *int64
+	cBipBipEncrypt  *int64
+	aExposure       *stats.Accumulator
 }
 
 // mcDataPending is the MC-side MSHR for one data block read.
@@ -284,6 +294,18 @@ func newMCCtl(s *Sim, dataBytes int64) *mcCtl {
 	return m
 }
 
+func (m *mcCtl) bindHot() {
+	st := m.s.st
+	m.cRejected = st.CounterRef(stats.TsimMCRejectedWhileBlocked)
+	m.cDataFill = st.CounterRef(stats.TsimMCDataFill)
+	m.cCtrMissOnchip = st.CounterRef(stats.TsimCtrMissOnchip)
+	m.cQueueFullRetry = st.CounterRef(stats.TsimDRAMQueueFullRetry)
+	m.cInSRAMDecrypt = st.CounterRef(stats.InSRAMDecryptOps)
+	m.cInSRAMEncrypt = st.CounterRef(stats.InSRAMEncryptOps)
+	m.cBipBipEncrypt = st.CounterRef(stats.BipBipEncryptOps)
+	m.aExposure = st.AccumRef(stats.TsimCryptoExposureMCPS)
+}
+
 // handleWBData unboxes a dirty data-victim writeback arriving over a
 // slice's toMC seam.
 func (m *mcCtl) handleWBData(a any) { m.writebackData(m.s.unbox(a)) }
@@ -318,7 +340,7 @@ func (m *mcCtl) dataRead(req *readReq, confirmed bool) {
 	// Sec. V: the MC rejects incoming LLC requests while a third
 	// overflow is outstanding.
 	if m.ovf != nil && m.ovf.Blocked() {
-		m.s.st.Inc(stats.TsimMCRejectedWhileBlocked)
+		*m.cRejected++
 		req.tr.Begin(obs.SegMCQueue, m.s.eng.Now())
 		retry := mcDataReadSpecCB
 		if confirmed {
@@ -348,7 +370,7 @@ func (m *mcCtl) dataRead(req *readReq, confirmed bool) {
 	m.pendData[req.block] = p
 	// One fill per MSHR entry: internal/check's conservation rule compares
 	// this against the DRAM model's issued data reads after drain.
-	m.s.st.Inc(stats.TsimMCDataFill)
+	*m.cDataFill++
 	m.enqueueDRAM(req.block, false, dram.TrafficData, req.tr, p.fillDone)
 	if confirmed {
 		m.confirm(p)
@@ -434,7 +456,7 @@ func (m *mcCtl) maybeRespond(p *mcDataPending) {
 		if p.aesDone > leave {
 			leave = p.aesDone
 		}
-		m.s.st.Observe(stats.TsimCryptoExposureMCPS, (leave - p.dataAt).Nanoseconds())
+		m.aExposure.Observe((leave - p.dataAt).Nanoseconds())
 		for _, r := range p.reqs {
 			r.tr.MarkDecrypt(obs.DecAtMC, p.dataAt, leave)
 		}
@@ -445,8 +467,8 @@ func (m *mcCtl) maybeRespond(p *mcDataPending) {
 		// only start once the ciphertext is on-chip, so the whole pass
 		// (queue + geometry-derived compute) is exposed by construction.
 		leave = m.aes.Reserve(m.insramOps, p.dataAt)
-		m.s.st.Inc(stats.InSRAMDecryptOps)
-		m.s.st.Observe(stats.TsimCryptoExposureMCPS, (leave - p.dataAt).Nanoseconds())
+		*m.cInSRAMDecrypt++
+		m.aExposure.Observe((leave - p.dataAt).Nanoseconds())
 		for _, r := range p.reqs {
 			r.tr.MarkDecrypt(obs.DecAtMC, p.dataAt, leave)
 			r.tr.AddSpan(obs.SegInSRAMCipher, p.dataAt, leave)
@@ -489,7 +511,7 @@ func (m *mcCtl) maybeRespond(p *mcDataPending) {
 // still can, and in any case resolves, verifies and distributes the
 // counter block to the LLC and the requesting L2 (Sec. IV-D).
 func (m *mcCtl) counterMissFromL2(req *readReq, cb uint64) {
-	m.s.st.Inc(stats.TsimCtrMissOnchip)
+	*m.cCtrMissOnchip++
 	req.tr.MarkCtr(obs.CtrAtMC)
 	if p := m.pendData[req.block]; p != nil && !p.responded && !p.needCrypto {
 		// The counter request is real (not speculative): the MC can
@@ -650,11 +672,11 @@ func (m *mcCtl) writebackData(block uint64) {
 	case m.s.cfg.Counter == config.CtrBipBip:
 		// Dedicated cipher pipeline in the controller: off the critical
 		// path, no shared pool to queue on, no counter to advance.
-		m.s.st.Inc(stats.BipBipEncryptOps)
+		*m.cBipBipEncrypt++
 	case m.s.cfg.Counter == config.CtrInSRAM:
 		// Background-priority encryption on the in-SRAM arrays.
 		m.aes.ReserveLow(m.insramOps, m.s.eng.Now())
-		m.s.st.Inc(stats.InSRAMEncryptOps)
+		*m.cInSRAMEncrypt++
 	}
 	m.enqueueDRAM(block, true, dram.TrafficData, nil, nil)
 }
@@ -706,7 +728,7 @@ func (m *mcCtl) enqueueDRAM(block uint64, write bool, kind dram.TrafficKind, ob 
 // queue-full retries.
 func (m *mcCtl) enqueueReq(r *dram.Request) {
 	if !m.s.dram.Enqueue(r) {
-		m.s.st.Inc(stats.TsimDRAMQueueFullRetry)
+		*m.cQueueFullRetry++
 		r.Obs.Begin(obs.SegMCQueue, m.s.eng.Now())
 		m.s.eng.After(sim.NS(100), func() { m.enqueueReq(r) })
 		return

@@ -161,6 +161,10 @@ func (s *Sim) bindHot() {
 	for _, l2 := range s.l2s {
 		l2.bindHot()
 	}
+	for _, g := range s.slices {
+		g.bindHot()
+	}
+	s.mc.bindHot()
 }
 
 // Stats exposes collected metrics.
