@@ -119,15 +119,6 @@ func BenchmarkAblations(b *testing.B) { benchFigure(b, "ablation", "", 0) }
 
 // ---- Micro-benchmarks of the substrates ----
 
-func BenchmarkAES128Encrypt(b *testing.B) {
-	a := crypto.NewAES([]byte("0123456789abcdef"))
-	var in, out [16]byte
-	b.SetBytes(16)
-	for i := 0; i < b.N; i++ {
-		a.Encrypt(out[:], in[:])
-	}
-}
-
 func BenchmarkGF64Mul(b *testing.B) {
 	var acc uint64
 	for i := 0; i < b.N; i++ {

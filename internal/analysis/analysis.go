@@ -13,9 +13,6 @@
 //     emit output while iterating a map (iteration order is random).
 //   - invgate: (*inv.Recorder).Failf / Fail call sites must be dominated
 //     by an On() check so production runs pay one branch per site.
-//   - obsnil: direct method calls on a possibly-nil *obs.Tracer are only
-//     legal on the documented nil-safe set (tracerNilSafe in
-//     internal/obs).
 //
 // Findings print as "file:line: [pass] message" and any finding makes the
 // driver exit non-zero. A finding is suppressed by a
@@ -61,8 +58,9 @@ type Result struct {
 	// Findings is sorted by file, line, pass; suppressed findings are
 	// already removed.
 	Findings []Finding
-	// Keys lists the registered stats keys (sorted) discovered in
-	// internal/stats/keys.go.
+	// Keys lists the registered stats keys discovered in
+	// internal/stats/keys.go, sorted, one entry per declared constant (so
+	// a value declared twice is listed twice).
 	Keys []string
 	// KeyIndex maps each registered key to its references outside the
 	// stats package: uses of the registry constant anywhere, plus
@@ -79,7 +77,7 @@ type pass interface {
 
 // per-package passes in reporting order.
 func allPasses() []pass {
-	return []pass{statskey{}, detlint{}, obsnil{}, invgate{}}
+	return []pass{statskey{}, detlint{}, invgate{}}
 }
 
 // Passes lists the pass names the driver runs, in order.
@@ -100,10 +98,6 @@ type context struct {
 	registry  map[string]token.Position
 	keyConsts map[types.Object]string
 	statsPkg  *Package
-
-	// nilSafe is the obsnil allow-list read from internal/obs.
-	nilSafe map[string]bool
-	obsPkg  *Package
 
 	// suppress: file -> line -> pass name -> the marker granting the
 	// suppression (tracked so markers that never fire become findings).
@@ -188,14 +182,12 @@ func Run(root string, patterns ...string) (*Result, error) {
 		patterns:   patterns,
 		registry:   make(map[string]token.Position),
 		keyConsts:  make(map[types.Object]string),
-		nilSafe:    make(map[string]bool),
 		suppress:   make(map[string]map[int]map[string]*ignoreMarker),
 		dynamicKey: make(map[string]map[int]bool),
 		keyIndex:   make(map[string][]Ref),
 	}
 	ctx.collectAnnotations()
 	ctx.collectRegistry()
-	ctx.collectNilSafe()
 	ctx.indexKeyUses()
 
 	for _, pkg := range mod.Pkgs {
@@ -222,7 +214,7 @@ func Run(root string, patterns ...string) (*Result, error) {
 		return a.Msg < b.Msg
 	})
 	res := &Result{Findings: ctx.findings, KeyIndex: ctx.keyIndex}
-	for k := range ctx.registry {
+	for _, k := range ctx.keyConsts {
 		res.Keys = append(res.Keys, k)
 	}
 	sort.Strings(res.Keys)
@@ -354,45 +346,6 @@ func (ctx *context) collectRegistry() {
 						key := constant.StringVal(obj.Val())
 						ctx.registry[key] = ctx.mod.Fset.Position(name.Pos())
 						ctx.keyConsts[obj] = key
-					}
-				}
-			}
-		}
-		return
-	}
-}
-
-// collectNilSafe reads the documented nil-safe Tracer method set from the
-// tracerNilSafe map literal in internal/obs.
-func (ctx *context) collectNilSafe() {
-	for _, pkg := range ctx.mod.Pkgs {
-		if !pathIs(pkg.Path, "internal/obs") {
-			continue
-		}
-		ctx.obsPkg = pkg
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.VAR {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "tracerNilSafe" || len(vs.Values) != 1 {
-						continue
-					}
-					cl, ok := vs.Values[0].(*ast.CompositeLit)
-					if !ok {
-						continue
-					}
-					for _, elt := range cl.Elts {
-						kv, ok := elt.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						if lit, ok := kv.Key.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-							ctx.nilSafe[strings.Trim(lit.Value, `"`)] = true
-						}
 					}
 				}
 			}

@@ -26,17 +26,16 @@ func fixtureRun(t *testing.T, patterns ...string) *Result {
 func TestFixtureFindings(t *testing.T) {
 	const invgateSuffix = " is not dominated by an On() check (wrap the site in `if rec.On()` so disabled runs pay one branch)"
 	want := []string{
-		`bad/bad.go:15: [statskey] unregistered stats key "fixture/unregistered" (declare it in internal/stats/keys.go)`,
-		`bad/bad.go:21: [statskey] stats key passed to Add does not resolve to a compile-time constant (register it in internal/stats/keys.go, or annotate the site //lint:dynamic-key if the family is dynamic by design)`,
-		"bad/bad.go:27: [invgate] (*inv.Recorder).Failf" + invgateSuffix,
-		"bad/bad.go:32: [invgate] (*inv.Recorder).Fail" + invgateSuffix,
-		`bad/bad.go:38: [obsnil] (*obs.Tracer).Record is outside the documented nil-safe set; a disabled (nil) tracer would panic here (guard the receiver or extend tracerNilSafe in internal/obs)`,
-		`bad/bad.go:45: [lint] malformed suppression: want //lint:ignore <pass> <reason>`,
-		`bad/bad.go:46: [statskey] unregistered stats key "fixture/also-unregistered" (declare it in internal/stats/keys.go)`,
-		`bad/bad.go:52: [statskey] unregistered stats key "fixture/unregistered-ref" (declare it in internal/stats/keys.go)`,
-		`bad/bad.go:58: [statskey] unregistered stats key "fixture/unregistered-hist" (declare it in internal/stats/keys.go)`,
-		"bad/bad.go:64: [invgate] (*inv.Recorder).Failf" + invgateSuffix,
-		"bad/bad.go:70: [invgate] (*inv.Recorder).Fail" + invgateSuffix,
+		`bad/bad.go:14: [statskey] unregistered stats key "fixture/unregistered" (declare it in internal/stats/keys.go)`,
+		`bad/bad.go:20: [statskey] stats key passed to Add does not resolve to a compile-time constant (register it in internal/stats/keys.go, or annotate the site //lint:dynamic-key if the family is dynamic by design)`,
+		"bad/bad.go:26: [invgate] (*inv.Recorder).Failf" + invgateSuffix,
+		"bad/bad.go:31: [invgate] (*inv.Recorder).Fail" + invgateSuffix,
+		`bad/bad.go:38: [lint] malformed suppression: want //lint:ignore <pass> <reason>`,
+		`bad/bad.go:39: [statskey] unregistered stats key "fixture/also-unregistered" (declare it in internal/stats/keys.go)`,
+		`bad/bad.go:45: [statskey] unregistered stats key "fixture/unregistered-ref" (declare it in internal/stats/keys.go)`,
+		`bad/bad.go:51: [statskey] unregistered stats key "fixture/unregistered-hist" (declare it in internal/stats/keys.go)`,
+		"bad/bad.go:57: [invgate] (*inv.Recorder).Failf" + invgateSuffix,
+		"bad/bad.go:63: [invgate] (*inv.Recorder).Fail" + invgateSuffix,
 		`internal/figures/figures.go:14: [detlint] time.Now in a deterministic-output package (golden/compared output must not depend on wall time)`,
 		`internal/figures/figures.go:19: [detlint] package-level math/rand draws from the global source; use a locally seeded *rand.Rand`,
 		`internal/figures/figures.go:24: [detlint] iteration over a map reaches output (fmt.Println at line 25) without an intervening sort; collect and sort the keys first`,
@@ -80,10 +79,10 @@ func TestFixtureOneDiagnosticPerCase(t *testing.T) {
 			return f.Pass == "detlint" && f.File == "internal/figures/figures.go" && strings.Contains(f.Msg, "time.Now")
 		}},
 		{"unguarded field-held Failf", func(f Finding) bool {
-			return f.Pass == "invgate" && strings.Contains(f.Msg, "Recorder).Failf") && f.Line == 27
+			return f.Pass == "invgate" && f.File == "bad/bad.go" && strings.Contains(f.Msg, "Recorder).Failf") && f.Line == 26
 		}},
 		{"unguarded Failf on a handed recorder", func(f Finding) bool {
-			return f.Pass == "invgate" && strings.Contains(f.Msg, "Recorder).Failf") && f.Line == 64
+			return f.Pass == "invgate" && f.File == "bad/bad.go" && strings.Contains(f.Msg, "Recorder).Failf") && f.Line == 57
 		}},
 		{"bare Failf behind a guarding caller", func(f Finding) bool {
 			return f.Pass == "invgate" && f.File == "invflow/invflow.go" && f.Line == 13

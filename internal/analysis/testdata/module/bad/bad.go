@@ -5,7 +5,6 @@ package bad
 
 import (
 	"fixture/internal/inv"
-	"fixture/internal/obs"
 	"fixture/internal/stats"
 )
 
@@ -30,12 +29,6 @@ func (c *Component) Unguarded(n int) {
 // UnguardedFail covers the non-formatting form: one invgate finding.
 func (c *Component) UnguardedFail() {
 	c.rec.Fail("bad", "unguarded")
-}
-
-// NotNilSafe calls a method outside the documented nil-safe set: one
-// obsnil finding.
-func NotNilSafe(t *obs.Tracer) {
-	t.Record()
 }
 
 // Malformed carries a suppression with no reason: the marker itself is

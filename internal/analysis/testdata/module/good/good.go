@@ -4,7 +4,6 @@ package good
 
 import (
 	"fixture/internal/inv"
-	"fixture/internal/obs"
 	"fixture/internal/stats"
 )
 
@@ -66,20 +65,6 @@ func (c *Component) EarlyReturn(n int) {
 	}
 	if n < 0 {
 		c.rec.Failf("good", "negative %d", n)
-	}
-}
-
-// NilSafe calls only documented nil-safe tracer methods.
-func NilSafe(t *obs.Tracer) bool {
-	return t.Enabled()
-}
-
-// GuardedTracer may call anything once non-nil is established — via the
-// obsnil suppression, since flow analysis is out of scope for the pass.
-func GuardedTracer(t *obs.Tracer) {
-	if t != nil {
-		//lint:ignore obsnil receiver proven non-nil by the guard above
-		t.Record()
 	}
 }
 

@@ -34,21 +34,3 @@ func FuzzEngineRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-// FuzzAESKnownInverse: Decrypt(Encrypt(x)) == x for arbitrary blocks.
-func FuzzAESKnownInverse(f *testing.F) {
-	f.Add([]byte("16 bytes please!"))
-	a := NewAES([]byte("fuzz-fuzz-fuzz-!"))
-	f.Fuzz(func(t *testing.T, block []byte) {
-		if len(block) < 16 {
-			return
-		}
-		block = block[:16]
-		var ct, pt [16]byte
-		a.Encrypt(ct[:], block)
-		a.Decrypt(pt[:], ct[:])
-		if !bytes.Equal(pt[:], block) {
-			t.Fatal("AES not invertible")
-		}
-	})
-}

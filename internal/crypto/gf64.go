@@ -1,7 +1,5 @@
 package crypto
 
-import "math/bits"
-
 // GF(2^64) arithmetic for the MAC dot product of Figure 1b. Elements are
 // uint64 polynomials; multiplication reduces modulo the standard primitive
 // polynomial x^64 + x^4 + x^3 + x + 1 (0x1B tail).
@@ -53,24 +51,3 @@ func GF64DotProduct(words, keys []uint64) uint64 {
 	}
 	return acc
 }
-
-// gf64MulSlow is a reference bit-by-bit shift-and-reduce multiply used by
-// tests to cross-check GF64Mul.
-func gf64MulSlow(a, b uint64) uint64 {
-	var p uint64
-	for b != 0 {
-		if b&1 != 0 {
-			p ^= a
-		}
-		carry := a&(1<<63) != 0
-		a <<= 1
-		if carry {
-			a ^= gf64ReductionTail
-		}
-		b >>= 1
-	}
-	return p
-}
-
-// onesCount is referenced by property tests checking linearity.
-func onesCount(x uint64) int { return bits.OnesCount64(x) }

@@ -20,7 +20,8 @@ const MACBits = 56
 const macMask = (uint64(1) << MACBits) - 1
 
 // Engine holds the secrets and cipher for one secure-memory domain: an AES
-// key for OTP/MAC generation and the eight GF(2^64) dot-product keys.
+// key for OTP/MAC generation and the eight GF(2^64) dot-product keys. Like
+// its AES, an Engine is not safe for concurrent use.
 type Engine struct {
 	cipher  *AES
 	dotKeys [WordsPerBlock]uint64

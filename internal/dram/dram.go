@@ -302,13 +302,9 @@ type channel struct {
 }
 
 // chanStats caches the stats cells issue() records into, replacing five
-// map lookups per access with pointer bumps. Binding is lazy — at the
-// first issue after construction — because the owning simulation may
-// Reset the stats set at its warmup boundary (tsim does), which would
-// strand cells bound any earlier; no DRAM traffic is issued during a
-// functional warmup, so first-issue is always on the measured side.
+// map lookups per access with pointer bumps. They are bound once, at
+// construction.
 type chanStats struct {
-	bound                          bool
 	rowHit, rowClosed, rowConflict *int64
 	qdelay                         [numTrafficKinds][2]*stats.Accumulator
 	qdhist                         [numTrafficKinds][2]*metrics.Hist
@@ -328,7 +324,6 @@ func (ch *channel) bindHot() {
 			ch.hs.access[k][dir] = st.CounterRef(accessKeys[k][dir]) //lint:dynamic-key selected from the registered accessKeys table
 		}
 	}
-	ch.hs.bound = true
 }
 
 type bank struct {
@@ -339,13 +334,15 @@ type bank struct {
 }
 
 func newChannel(d *DRAM, id, banks int) *channel {
-	return &channel{
+	ch := &channel{
 		d:           d,
 		id:          id,
 		banks:       make([]bank, banks),
 		nextRefresh: d.cfg.tREFI,
 		streakBank:  -1,
 	}
+	ch.bindHot()
+	return ch
 }
 
 // kick ensures a scheduling pass is queued at time `at` (or now).
@@ -481,9 +478,6 @@ func (ch *channel) rowHit(b *bank, row uint64, now sim.Time) bool {
 
 // issue performs the access timing for one request.
 func (ch *channel) issue(r *Request) {
-	if !ch.hs.bound {
-		ch.bindHot()
-	}
 	now := ch.d.eng.Now()
 	loc := ch.d.mapper.Map(r.Block)
 	bankID := ch.d.mapper.BankID(loc)

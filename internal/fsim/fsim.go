@@ -145,10 +145,10 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 	return s, nil
 }
 
-// bindHot (re-)binds the stats cells the per-reference path bumps
-// directly, at construction and again after Run's warm-up Reset, which
-// strands every cell (tsim follows the same rule). Cells that stay at zero
-// are invisible to snapshots, so binding them eagerly changes no output.
+// bindHot binds the stats cells the per-reference path bumps directly,
+// once at construction: the cells survive Run's warm-up Reset. Cells that
+// stay at zero are invisible to snapshots, so binding them eagerly changes
+// no output.
 func (s *Sim) bindHot() {
 	st := s.st
 	s.cDataRead = st.CounterRef(stats.FsimDataRead)
@@ -193,7 +193,6 @@ func (s *Sim) Run() {
 	s.replay(s.opt.Warmup)
 	s.warming = false
 	s.st.Reset()
-	s.bindHot()
 	s.replay(s.opt.Refs)
 }
 

@@ -309,10 +309,18 @@ func (r *Req) MarkDecrypt(site DecryptSite, cipherAt, done sim.Time) {
 }
 
 // Latency reports the request's total traced latency.
-func (r *Req) Latency() sim.Time { return r.End - r.Start }
+func (r *Req) Latency() sim.Time {
+	if r == nil {
+		return 0
+	}
+	return r.End - r.Start
+}
 
 // SegTotal sums the closed spans attributed to seg.
 func (r *Req) SegTotal(seg Segment) sim.Time {
+	if r == nil {
+		return 0
+	}
 	var d sim.Time
 	for _, sp := range r.Spans {
 		if sp.Seg == seg {
@@ -383,26 +391,6 @@ type Options struct {
 	Meta map[string]string
 }
 
-// tracerNilSafe is the documented nil-safe method set of *Tracer: the
-// methods instrumentation sites may call directly on a possibly-nil
-// tracer. The obsnil pass (cmd/lint) reads this declaration and flags any
-// *Tracer method call outside this package whose method is not listed, so
-// adding an exported Tracer method means either guarding its receiver
-// against nil and listing it here, or accepting that external callers
-// must prove the tracer non-nil. obs_test.go exercises each listed method
-// on a nil receiver.
-var tracerNilSafe = map[string]bool{
-	"Enabled":      true,
-	"SamplePeriod": true,
-	"StartReq":     true,
-	"TopRequests":  true,
-	"Traced":       true,
-	"Sample":       true,
-	"Instant":      true,
-	"Flow":         true,
-	"Close":        true,
-}
-
 // Tracer owns the sinks and hands out request contexts. All methods are
 // nil-safe; a nil *Tracer is the disabled state.
 type Tracer struct {
@@ -422,12 +410,9 @@ type Tracer struct {
 	// freeReq heads the retired-request pool (see Req.nextFree).
 	freeReq *Req
 
-	// hists caches the latency-histogram cells of the stats sink. Binding
-	// is lazy — at the first aggregate — because the owning simulation may
-	// Reset its stats set at the warmup boundary (tsim does) and warmup is
-	// never traced, so first-aggregate is always on the measured side.
+	// hists caches the latency-histogram cells of the stats sink, bound
+	// once in New (the cells survive a stats Reset).
 	hists struct {
-		bound   bool
 		seg     [numSegments]*metrics.Hist
 		latency *metrics.Hist
 		exposed *metrics.Hist
@@ -446,6 +431,9 @@ func New(o Options) *Tracer {
 	t := &Tracer{st: o.Stats, sample: o.Sample, period: o.SamplePeriod, topN: o.TopN}
 	// One spare slot so keepTopN's insert-then-truncate never reallocates.
 	t.top = make([]*Req, 0, o.TopN+1)
+	if o.Stats != nil {
+		t.bindHists()
+	}
 	if o.Writer != nil {
 		t.cw = newChromeWriter(o.Writer, o.Meta)
 	}
@@ -520,8 +508,7 @@ func (t *Tracer) recycle(r *Req) {
 	t.freeReq = r
 }
 
-// bindHists binds the latency-histogram cells (called lazily from
-// aggregate; see the field comment for why binding waits).
+// bindHists binds the latency-histogram cells of the stats sink.
 func (t *Tracer) bindHists() {
 	st := t.st
 	for i := range segHistKeys {
@@ -529,15 +516,11 @@ func (t *Tracer) bindHists() {
 	}
 	t.hists.latency = st.HistRef(stats.ObsReqLatencyHist)
 	t.hists.exposed = st.HistRef(stats.ObsExposedDecryptHist)
-	t.hists.bound = true
 }
 
 // aggregate feeds the stats sink with this request's attribution.
 func (t *Tracer) aggregate(r *Req) {
 	st := t.st
-	if !t.hists.bound {
-		t.bindHists()
-	}
 	st.Inc(stats.ObsReqTraced)
 	if r.Store {
 		st.Inc(stats.ObsReqStore)

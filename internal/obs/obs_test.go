@@ -115,28 +115,35 @@ func TestNilSafety(t *testing.T) {
 	if tr.Enabled() || tr.SamplePeriod() != 0 || tr.Traced() != 0 || tr.TopRequests() != nil {
 		t.Fatal("nil tracer not inert")
 	}
+	if r.Latency() != 0 || r.SegTotal(SegL1) != 0 {
+		t.Fatal("nil request not inert")
+	}
 }
 
-// TestNilSafeSetMatchesMethods cross-checks the tracerNilSafe declaration
-// the obsnil lint pass reads: every listed name must be a real *Tracer
-// method (a typo'd entry would allow-list nothing), and every exported
-// *Tracer method must be listed — TestNilSafety above proves each one
-// no-ops on a nil receiver, so an unlisted newcomer either gets a nil
-// guard and an entry here, or stays unexported.
-func TestNilSafeSetMatchesMethods(t *testing.T) {
-	typ := reflect.TypeOf((*Tracer)(nil))
-	methods := make(map[string]bool, typ.NumMethod())
-	for i := 0; i < typ.NumMethod(); i++ {
-		methods[typ.Method(i).Name] = true
-	}
-	for name := range tracerNilSafe {
-		if !methods[name] {
-			t.Errorf("tracerNilSafe lists %q, which is not a method of *Tracer", name)
+// TestNilReceiverSweep calls every exported method of *Tracer and *Req on
+// a nil receiver with zero-valued arguments: a disabled tracer is nil, and
+// so is every request it hands out, so instrumentation sites call these
+// methods without a guard. A method that panics here would panic the first
+// time a run is not traced.
+func TestNilReceiverSweep(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeOf((*Tracer)(nil)), reflect.TypeOf((*Req)(nil))} {
+		if typ.NumMethod() == 0 {
+			t.Fatalf("%v has no exported methods to sweep", typ)
 		}
-	}
-	for name := range methods {
-		if !tracerNilSafe[name] {
-			t.Errorf("exported method (*Tracer).%s is not in tracerNilSafe; add a nil guard and list it, or unexport it", name)
+		for i := 0; i < typ.NumMethod(); i++ {
+			m := typ.Method(i)
+			args := make([]reflect.Value, m.Type.NumIn())
+			for j := range args {
+				args[j] = reflect.Zero(m.Type.In(j))
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("(%v).%s panics on a nil receiver: %v", typ, m.Name, p)
+					}
+				}()
+				m.Func.Call(args)
+			}()
 		}
 	}
 }

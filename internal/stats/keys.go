@@ -9,10 +9,9 @@
 //     the constants below. A key that is assembled at runtime (per-segment
 //     or per-name families like "obs/seg/<segment>-ns") must carry a
 //     `//lint:dynamic-key` annotation at the call site.
-//   - Every constant declared in this file must be listed in registry and
-//     referenced somewhere outside this package — an orphaned key means a
-//     producer or consumer was deleted and the other side now silently
-//     reads zeros.
+//   - Every constant declared in this file must be referenced somewhere
+//     outside this package — an orphaned key means a producer or consumer
+//     was deleted and the other side now silently reads zeros.
 //
 // The differential harness (internal/check) compares fsim and tsim runs
 // through these names; a typo'd key would make both sides report zero and
@@ -180,54 +179,3 @@ const (
 	// FlightDropped counts intervals evicted from the bounded ring.
 	FlightDropped = "flight/dropped"
 )
-
-// registry lists every key constant declared above, in declaration order.
-// keys_test.go asserts the two stay in lockstep (and that each key obeys
-// the naming rules); the statskey lint pass derives its registered set
-// from the constant declarations themselves.
-var registry = []string{
-	FsimDataRead, FsimDataWrite, FsimL2DataMiss, FsimLLCDataMiss,
-	FsimLLCDataAccess, FsimDRAMDataRead, FsimDRAMDataWrite,
-	FsimDRAMCtrRead, FsimDRAMCtrWrite, FsimDRAMOvfL0, FsimDRAMOvfHi,
-	FsimCtrMCHit, FsimCtrLLCHit, FsimCtrLLCMiss, FsimCtrLLCLookup,
-
-	EmccSpecFetch, EmccCtrInserted, EmccUseless, EmccInvalidations,
-	EmccDecryptAtL2, EmccDecryptAtMC, EmccOffloadQueue,
-	EmccL2CtrHit, EmccL2CtrMiss, EmccDynamicOffMiss,
-
-	BipBipDecryptOps, BipBipEncryptOps, InSRAMDecryptOps, InSRAMEncryptOps,
-
-	TsimLoad, TsimStore, TsimL2DataMiss, TsimL2Prefetch,
-	TsimLLCDataAccess, TsimLLCDataMiss,
-	TsimCtrLLCLookup, TsimCtrLLCHit, TsimCtrLLCMiss,
-	TsimCtrSpecLLCLookup, TsimCtrSpecLLCHit, TsimCtrSpecLLCMiss,
-	TsimCtrMissOnchip, TsimMCDataFill, TsimMCRejectedWhileBlocked,
-	TsimDRAMQueueFullRetry,
-	TsimCryptoExposureL2PS, TsimCryptoExposureMCPS, TsimL2ReadMissLatencyPS,
-
-	DramRowHit, DramRowClosed, DramRowConflict,
-	DramQDelayDataRead, DramQDelayDataWrite,
-	DramQDelayCtrRead, DramQDelayCtrWrite,
-	DramQDelayOvfL0Read, DramQDelayOvfL0Write,
-	DramQDelayOvfHiRead, DramQDelayOvfHiWrite,
-	DramAccessDataRead, DramAccessDataWrite,
-	DramAccessCtrRead, DramAccessCtrWrite,
-	DramAccessOvfL0Read, DramAccessOvfL0Write,
-	DramAccessOvfHiRead, DramAccessOvfHiWrite,
-
-	OverflowEvents, OverflowBlocks, OverflowBlockedEvents,
-
-	ObsReqTraced, ObsReqStore, ObsReqMerged, ObsReqLLCMiss, ObsReqOffload,
-	ObsReqLatencyNS, ObsExposedDecryptNS, ObsOverlappedDecryptNS,
-	ObsFlowL2Miss, ObsFlowLLCMiss,
-	ObsCtrSrcL2, ObsCtrSrcLLC, ObsCtrSrcMC,
-	ObsDecryptAtL2, ObsDecryptAtMC,
-	ObsReqLatencyHist, ObsExposedDecryptHist,
-
-	FlightIntervals, FlightDropped,
-}
-
-// Keys returns every registered stats key, in declaration order.
-func Keys() []string {
-	return append([]string(nil), registry...)
-}

@@ -3,20 +3,40 @@ package stats_test
 import (
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/stats"
 )
+
+// lintModule runs the linter over the whole module once per test binary:
+// its Keys are the constants declared in keys.go and its KeyIndex their
+// references.
+var lintModule = sync.OnceValues(func() (*analysis.Result, error) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		return nil, err
+	}
+	return analysis.Run(root, "./...")
+})
+
+func registered(t *testing.T) *analysis.Result {
+	t.Helper()
+	res, err := lintModule()
+	if err != nil {
+		t.Fatalf("analysis.Run: %v", err)
+	}
+	if len(res.Keys) == 0 {
+		t.Fatal("empty registry")
+	}
+	return res
+}
 
 // TestKeyHygiene enforces the registry naming contract: every key is
 // lowercase, slash-separated into non-empty [a-z0-9-] segments, and
 // declared exactly once.
 func TestKeyHygiene(t *testing.T) {
-	keys := stats.Keys()
-	if len(keys) == 0 {
-		t.Fatal("empty registry")
-	}
+	keys := registered(t).Keys
 	seen := make(map[string]bool, len(keys))
 	for _, k := range keys {
 		if seen[k] {
@@ -42,23 +62,7 @@ func TestKeyHygiene(t *testing.T) {
 // reference index: every registered key must be used somewhere outside
 // the registry, or it is dead vocabulary that belongs deleted.
 func TestNoOrphanKeys(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := analysis.Run(root, "./...")
-	if err != nil {
-		t.Fatalf("analysis.Run: %v", err)
-	}
-	indexed := make(map[string]bool, len(res.Keys))
-	for _, k := range res.Keys {
-		indexed[k] = true
-	}
-	for _, k := range stats.Keys() {
-		if !indexed[k] {
-			t.Errorf("key %q in stats.Keys() but not discovered by the linter registry scan", k)
-		}
-	}
+	res := registered(t)
 	for _, k := range res.Keys {
 		if len(res.KeyIndex[k]) == 0 {
 			t.Errorf("orphan key %q: registered but never referenced outside internal/stats", k)

@@ -117,7 +117,7 @@ func itoa(v int64) string {
 func BenchmarkFlightRecordSet(b *testing.B) {
 	s := NewSet()
 	for i := 0; i < 60; i++ {
-		s.Add(Keys()[i%len(Keys())], int64(i+1))
+		s.Add("bench/counter-"+itoa(int64(i)), int64(i+1))
 	}
 	s.HistRef(ObsReqLatencyHist).Observe(100)
 	s.HistRef(ObsExposedDecryptHist).Observe(40)

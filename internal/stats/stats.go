@@ -38,15 +38,20 @@ func NewSet() *Set {
 	}
 }
 
-// Reset clears every metric while keeping the set's identity, so
-// components holding the pointer keep recording. Used at the
-// warmup-to-measurement boundary. Cells handed out by CounterRef/AccumRef
-// before a Reset go stale (they keep counting into the discarded
-// generation); components caching refs must re-bind after Reset.
+// Reset zeroes every metric in place, at the warmup-to-measurement
+// boundary. Cells handed out by CounterRef, AccumRef and HistRef stay
+// bound and keep recording into the set; zeroed cells are invisible to
+// Snapshot, Names and the Visit methods, so a reset set reads as empty.
 func (s *Set) Reset() {
-	s.counters = make(map[string]*int64)
-	s.accums = make(map[string]*Accumulator)
-	s.hists = make(map[string]*metrics.Hist)
+	for _, c := range s.counters {
+		*c = 0
+	}
+	for _, a := range s.accums {
+		*a = Accumulator{Min: math.Inf(1), Max: math.Inf(-1)}
+	}
+	for _, h := range s.hists {
+		h.Reset()
+	}
 }
 
 // SetProvenance attaches a run-provenance manifest (see internal/prov) to
@@ -69,8 +74,7 @@ func (s *Set) Counter(name string) int64 {
 }
 
 // CounterRef returns the named counter's cell, creating it at zero. Hot
-// paths bind the cell once and bump through the pointer; the cell is valid
-// until the next Reset.
+// paths bind the cell once and bump through the pointer.
 func (s *Set) CounterRef(name string) *int64 {
 	c := s.counters[name]
 	if c == nil {
@@ -84,9 +88,8 @@ func (s *Set) CounterRef(name string) *int64 {
 func (s *Set) Observe(name string, v float64) { s.AccumRef(name).Observe(v) }
 
 // AccumRef returns the named accumulator, creating an empty one. Hot paths
-// bind it once and Observe through the pointer; it is valid until the next
-// Reset. An accumulator that never receives a sample stays invisible to
-// Snapshot and Names.
+// bind it once and Observe through the pointer. An accumulator that never
+// receives a sample stays invisible to Snapshot and Names.
 func (s *Set) AccumRef(name string) *Accumulator {
 	a := s.accums[name]
 	if a == nil {
@@ -106,9 +109,9 @@ func (s *Set) Accum(name string) *Accumulator {
 
 // HistRef returns the named histogram's cell, creating an empty one. Hot
 // paths bind the cell once and Observe through the pointer (the same
-// discipline as CounterRef/AccumRef); it is valid until the next Reset. A
-// histogram that never receives a sample stays invisible to Snapshot and
-// Names, so eager binding never perturbs golden output.
+// discipline as CounterRef/AccumRef). A histogram that never receives a
+// sample stays invisible to Snapshot and Names, so eager binding never
+// perturbs golden output.
 func (s *Set) HistRef(name string) *metrics.Hist {
 	h := s.hists[name]
 	if h == nil {
@@ -322,8 +325,8 @@ func (s *Set) Snapshot() Snapshot {
 		Counters: make(map[string]int64, len(s.counters)),
 		Accums:   make(map[string]AccumSummary, len(s.accums)),
 	}
-	// Zero-valued cells exist only through CounterRef/AccumRef binding;
-	// no recording path leaves a zero behind, so skipping them keeps
+	// Zero-valued cells come only from ref binding and Reset; no
+	// recording path leaves a zero behind, so skipping them keeps
 	// snapshots byte-identical to the pre-ref world (and keeps the ±Inf
 	// sentinels of an unobserved accumulator out of the JSON).
 	for k, v := range s.counters {

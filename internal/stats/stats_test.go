@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"testing"
@@ -68,6 +69,49 @@ func TestReset(t *testing.T) {
 	}
 	if len(s.Names()) != 0 {
 		t.Fatalf("names after reset: %v", s.Names())
+	}
+}
+
+// TestResetKeepsBoundCells: Reset zeroes cells in place, so a cell bound
+// before it keeps counting into the set, an accumulator observed after it
+// reports the new samples' min and max, and the reset set renders like an
+// empty one.
+func TestResetKeepsBoundCells(t *testing.T) {
+	s := NewSet()
+	c := s.CounterRef("c")
+	a := s.AccumRef("a")
+	h := s.HistRef("h")
+	*c += 3
+	a.Observe(-100)
+	a.Observe(100)
+	h.Observe(7)
+	s.Inc("unbound")
+	s.Reset()
+
+	got, err := s.Snapshot().StableJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewSet().Snapshot().StableJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("reset set renders\n%s\nwant the empty set's\n%s", got, want)
+	}
+
+	*c++
+	a.Observe(5)
+	a.Observe(2)
+	h.Observe(9)
+	if s.Counter("c") != 1 {
+		t.Errorf("counter bound before Reset = %d, want 1", s.Counter("c"))
+	}
+	if got := *s.Accum("a"); got != (Accumulator{Count: 2, Sum: 7, Min: 2, Max: 5}) {
+		t.Errorf("accumulator after Reset = %+v, want count 2, sum 7, min 2, max 5", got)
+	}
+	if n := s.Hist("h").Count(); n != 1 {
+		t.Errorf("histogram bound before Reset holds %d samples, want 1", n)
 	}
 }
 

@@ -32,7 +32,6 @@ func steadyStateAllocs(t *testing.T, mutate func(*config.Config)) float64 {
 		t.Fatal(err)
 	}
 	s.warm(s.opt.Warmup)
-	s.bindHot()
 	for _, c := range s.cpus {
 		c.start()
 	}
@@ -136,7 +135,6 @@ func TestTracedWithHistogramsSteadyStateZeroAllocs(t *testing.T) {
 	}
 	s.SetTracer(obs.New(obs.Options{Stats: s.Stats()}))
 	s.warm(s.opt.Warmup)
-	s.bindHot()
 	for _, c := range s.cpus {
 		c.start()
 	}

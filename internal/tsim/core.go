@@ -53,7 +53,7 @@ type core struct {
 	// allocate nothing.
 	freeMiss *coreMiss
 
-	// Cached stats cells (bound after warmup reset; see Sim.bindHot).
+	// Cached stats cells, bound at construction.
 	cLoad, cStore *int64
 }
 
@@ -81,14 +81,11 @@ func newCore(s *Sim, id int, gen workload.Generator, refs int64) *core {
 		refsLeft:   refs,
 		cycle:      s.cfg.CoreCycle(),
 		issueWidth: int64(s.cfg.IssueWidth),
+		cLoad:      s.st.CounterRef(stats.TsimLoad),
+		cStore:     s.st.CounterRef(stats.TsimStore),
 	}
 	c.l1.SetRecorder(s.ivr)
 	return c
-}
-
-func (c *core) bindHot() {
-	c.cLoad = c.s.st.CounterRef(stats.TsimLoad)
-	c.cStore = c.s.st.CounterRef(stats.TsimStore)
 }
 
 func (c *core) getMiss() *coreMiss {

@@ -107,7 +107,7 @@ type l2Ctl struct {
 	// invCtrCB handles an MC counter-invalidation message (boxed block).
 	invCtrCB func(any)
 
-	// Cached stats cells (bound after warmup reset; see Sim.bindHot).
+	// Cached stats cells, bound at construction (see bindHot).
 	cDataMiss      *int64
 	cPrefetch      *int64
 	cOffloadQueue  *int64
@@ -147,6 +147,7 @@ func newL2Ctl(s *Sim, id int) *l2Ctl {
 		l.pf = prefetch.New(s.cfg.PrefetchTable, s.cfg.PrefetchL2Degree)
 	}
 	l.invCtrCB = func(a any) { l.invalidateCounter(s.unbox(a)) }
+	l.bindHot()
 	return l
 }
 

@@ -36,7 +36,7 @@ type llcSlice struct {
 	insertMetaCB func(any)
 	metaProbeCB  func(any)
 
-	// Cached stats cells (bound after warmup reset; see Sim.bindHot).
+	// Cached stats cells, bound at construction (see bindHot).
 	cDataAccess    *int64
 	cDataMiss      *int64
 	cCtrLookup     *int64
@@ -67,6 +67,7 @@ func (s *Sim) buildSlices() {
 		g.insertDataCB = g.handleInsertData
 		g.insertMetaCB = g.handleInsertMeta
 		g.metaProbeCB = g.handleMetaProbe
+		g.bindHot()
 		s.slices[j] = g
 	}
 }

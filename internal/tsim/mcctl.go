@@ -46,7 +46,7 @@ type mcCtl struct {
 	wbMetaCB        func(any) // boxed victim block from a slice (metadata)
 	metaProbeDoneCB func(any) // packed mb<<1|hit probe reply from a slice
 
-	// Cached stats cells (bound after warmup reset; see Sim.bindHot).
+	// Cached stats cells, bound at construction (see bindHot).
 	cRejected       *int64
 	cDataFill       *int64
 	cCtrMissOnchip  *int64
@@ -257,6 +257,7 @@ func newMCCtl(s *Sim, dataBytes int64) *mcCtl {
 	m.wbDataCB = m.handleWBData
 	m.wbMetaCB = m.handleWBMeta
 	m.metaProbeDoneCB = m.handleMetaProbeDone
+	m.bindHot()
 	if !s.secure() {
 		return m
 	}

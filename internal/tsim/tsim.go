@@ -147,24 +147,7 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 		s.cpus = append(s.cpus, newCore(s, c, gens[c], perCore))
 	}
 	s.wirePorts()
-	s.bindHot()
 	return s, nil
-}
-
-// bindHot (re-)binds the cached stats cells the hot paths bump directly.
-// Called at construction (warmup's functional helpers share some keys) and
-// again after warm's stats Reset, which invalidates every cell.
-func (s *Sim) bindHot() {
-	for _, c := range s.cpus {
-		c.bindHot()
-	}
-	for _, l2 := range s.l2s {
-		l2.bindHot()
-	}
-	for _, g := range s.slices {
-		g.bindHot()
-	}
-	s.mc.bindHot()
 }
 
 // Stats exposes collected metrics.
@@ -209,9 +192,6 @@ func (s *Sim) Engine() *sim.Engine { return s.eng }
 // summarises.
 func (s *Sim) Run() Result {
 	s.warm(s.opt.Warmup)
-	// warm resets the stats set at the measurement boundary, which strands
-	// every cached cell; re-bind before any timed event fires.
-	s.bindHot()
 	for _, c := range s.cpus {
 		c.start()
 	}
@@ -219,10 +199,10 @@ func (s *Sim) Run() Result {
 		s.eng.Every(period, s.samplePoint)
 	}
 	if s.rec != nil && s.recPeriod > 0 {
-		// Bound after the warm Reset like every other cell. The tick
-		// counters land in the same stats set the recorder samples, so
-		// each interval carries its own flight/intervals delta — harmless,
-		// deterministic, and it makes recorder liveness visible in dumps.
+		// The tick counters land in the same stats set the recorder
+		// samples, so each interval carries its own flight/intervals
+		// delta — harmless, deterministic, and it makes recorder liveness
+		// visible in dumps.
 		intervals := s.st.CounterRef(stats.FlightIntervals)
 		dropped := s.st.CounterRef(stats.FlightDropped)
 		rec := s.rec
