@@ -3,14 +3,17 @@
 // invariant-instrumented simulation runs. It prints one line per check and
 // exits non-zero if any fail.
 //
-// The units of all three pillars run on -parallel workers (default:
-// GOMAXPROCS). They share one recorded trace and a memo that simulates
-// each distinct replay of it once for every unit that needs it;
-// invariant-recorded and traced runs stay private to their unit. The
-// workers first run tsim-channel-qdelay's two replays of its own heavier
-// trace, the longest tasks, and then take the units in report order.
-// Parallelism changes only the wall-clock time, never the report. -quick
-// records a trace of half the reference budget and replays all of it.
+// Every run draws its references from one seeded synthetic workload
+// (-bench, -cores, -seed, -refs); options that cannot drive a run print
+// one failing line and run nothing. The units of all three pillars run on
+// -parallel workers (default: GOMAXPROCS). They share a memo that
+// simulates each distinct (simulator, config) pair once, under its own
+// invariant recorder, for every unit that needs it; traced runs stay
+// private to their unit. The workers first run tsim-channel-qdelay's two
+// simulations of its own heavier load, the longest tasks, and then take
+// the units in report order. Parallelism changes only the wall-clock
+// time, never the report. -quick halves the reference budget of every
+// run but tsim-channel-qdelay's.
 //
 // Usage:
 //
@@ -34,7 +37,7 @@ func main() {
 	opt := check.Options{}
 	flag.Uint64Var(&opt.Seed, "seed", 0, "workload seed (0 = default)")
 	flag.Int64Var(&opt.Refs, "refs", 0, "memory references per run (0 = default)")
-	flag.StringVar(&opt.Benchmark, "bench", "", "synthetic benchmark to trace (empty = default)")
+	flag.StringVar(&opt.Benchmark, "bench", "", "synthetic benchmark every run draws from (empty = default)")
 	flag.IntVar(&opt.Cores, "cores", 0, "simulated cores (0 = default)")
 	flag.BoolVar(&opt.Quick, "quick", false, "halve the reference budget")
 	flag.IntVar(&opt.Parallel, "parallel", runtime.GOMAXPROCS(0), "concurrent check units (1 = serial)")

@@ -3,7 +3,7 @@ package check
 import "testing"
 
 // BenchmarkCheckRun prices the verification harness: one full Run at 2 k
-// references per replay, seed 12 and Parallel 1, so the units run one at
+// references per run, seed 12 and Parallel 1, so the units run one at
 // a time on the calling goroutine.
 func BenchmarkCheckRun(b *testing.B) {
 	b.ReportAllocs()

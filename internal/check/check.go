@@ -1,26 +1,27 @@
 // Package check is the verification harness that cross-validates the
 // repository's three independent models of secure memory:
 //
-//   - differential tests replay one recorded trace through the functional
-//     simulator (fsim) and the timing simulator (tsim) and require their
-//     trace-driven classification counts to agree, and drive the functional
-//     secure memory (secmem) and the timing layer's metadata authority
-//     (mc.Home) with identical write sequences and require their counter
-//     state to agree exactly;
+//   - differential tests run one seeded synthetic workload through the
+//     functional simulator (fsim) and the timing simulator (tsim) and
+//     require their classification counts to agree, and drive the
+//     functional secure memory (secmem) and the timing layer's metadata
+//     authority (mc.Home) with identical write sequences and require their
+//     counter state to agree exactly;
 //   - metamorphic properties perturb configurations and require the
 //     responses to move the right way (more AES latency can't speed the
 //     machine up, more DRAM channels can't add queuing delay, EMCC can't
 //     lose its own analytic timelines);
-//   - invariant runs execute both simulators with internal/inv enabled and
-//     require zero recorded violations plus post-run conservation between
-//     requested and performed DRAM fills.
+//   - invariant checks read the same fsim and tsim runs, each made with
+//     its own internal/inv recorder enabled, and require zero recorded
+//     violations plus post-run conservation between requested and
+//     performed DRAM fills.
 //
-// Run records one trace and runs every pillar's checks over it as
+// Run validates its options once and runs every pillar's checks as
 // independent units. The units share a per-Run memo (simMemo) that
-// simulates each distinct tsim replay of the trace once and hands the
-// result to every unit that asks for that config, so a config several
-// checks need costs one run. Runs that carry a recorder, tracer or their
-// own input are never shared; each unit builds and owns those outright.
+// simulates each distinct (simulator, config) pair once and hands the
+// result to every unit that asks for it, so a run several checks need
+// costs one simulation. Traced runs and runs with a warm-up are never
+// shared; each unit builds and owns those outright.
 //
 // cmd/check runs everything and prints a report; `go test ./internal/check`
 // runs the same pillars plus deliberately-broken inputs proving each pillar
@@ -28,12 +29,10 @@
 package check
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -66,29 +65,31 @@ func (r Result) String() string {
 
 // Options tunes how much work the suite does.
 type Options struct {
-	// Seed drives trace recording and workload generation.
+	// Seed drives workload generation.
 	Seed uint64
 	// Refs is the total memory references per simulated run, except
-	// tsim-channel-qdelay's: that check replays its own 4-core trace of a
+	// tsim-channel-qdelay's: that check runs its own 4-core load of a
 	// fixed 30 k references (channelRefs), sized by its measured margin.
+	// It must leave every core at least one reference.
 	Refs int64
-	// Benchmark is the synthetic workload the differential trace records.
+	// Benchmark is the synthetic workload every simulated run draws its
+	// references from.
 	Benchmark string
 	// Cores is the simulated core count (cache pressure scales with it).
 	Cores int
 	// Quick halves the reference budget (cmd/check -quick).
 	Quick bool
 	// Parallel is the number of workers Run executes its check units on
-	// (0 or 1 = serial). Units share only the recorded trace and Run's
-	// memo of replays, which computes each entry once and then only
-	// hands it out to be read, so parallelism never changes any result —
-	// only the wall-clock time.
+	// (0 or 1 = serial). Units share only Run's memo of simulations,
+	// which computes each entry once and then only hands it out to be
+	// read, so parallelism never changes any result — only the
+	// wall-clock time.
 	Parallel int
 }
 
 // withDefaults fills unset fields and applies Quick. It is idempotent:
 // the halving clears Quick, so options defaulted once — by Run, then again
-// by the checks they are handed — keep the budget that was recorded.
+// by the checks they are handed — keep the budget Run validated.
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 12
@@ -109,48 +110,55 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Run executes every pillar and returns all results. The units —
+// validate reports why defaulted options cannot drive a Run: every run
+// draws a known benchmark's references, and every core needs at least one.
+func (o Options) validate() error {
+	if o.Cores <= 0 {
+		return fmt.Errorf("check: cores must be positive, got %d", o.Cores)
+	}
+	if o.Refs < int64(o.Cores) {
+		return fmt.Errorf("check: %d references leave some of %d cores none", o.Refs, o.Cores)
+	}
+	_, err := workload.SpaceBytes(o.Benchmark, o.Cores, workload.TestScale())
+	return err
+}
+
+// Run executes every pillar and returns all results. Options that cannot
+// drive a run — an unknown benchmark, no cores, fewer references than
+// cores — give one failing result and run nothing. The units —
 // differential, metamorphic and invariant alike — run on opt.Parallel
-// workers over one read-only recorded trace. They share one thing besides
-// it: a per-Run simMemo that simulates each distinct replay of that trace
-// (and of channelQueueing's own one) once and hands the same
-// read-only result to every unit that asks for it. Everything else a unit
-// runs — invariant-recorded and traced runs among them — it builds and
-// owns outright. The workers first fill channelQueueing's two replays,
-// the longest tasks of a small-budget Run, so they do not start last and
-// finish after everything else; then they take the units in list order. Results land
-// in fixed slots, so the report order — and with deterministic
-// simulators, every byte of it — is identical at any parallelism.
+// workers. They share one thing: a per-Run simMemo that simulates each
+// distinct (simulator, config) pair once, and each of channelQueueing's
+// two runs of its own load once, and hands the same read-only result to
+// every unit that asks for it. A unit builds and owns its traced runs
+// outright. The workers first fill channelQueueing's two runs, the
+// longest tasks of a small-budget Run, so they do not start last and
+// finish after everything else; then they take the units in list order.
+// Results land in fixed slots, so the report order — and with
+// deterministic simulators, every byte of it — is identical at any
+// parallelism.
 func Run(opt Options) []Result {
 	rs, _ := run(opt)
 	return rs
 }
 
 // run is Run, also returning the memo its units shared so tests can count
-// the simulations it ran.
+// the simulations it ran; the memo is nil when the options are rejected.
 func run(opt Options) ([]Result, *simMemo) {
 	opt = opt.withDefaults()
-	m := recordMemo(opt)
-	if m.err != nil {
-		return []Result{failf(PillarDifferential, "record-trace", "%v", m.err)}, nil
+	if err := opt.validate(); err != nil {
+		return []Result{failf(PillarDifferential, "options", "%v", err)}, nil
 	}
-	m.channels = recordMemo(channelOptions(opt))
+	m := newSimMemo(opt)
+	m.channels = newSimMemo(channelOptions(opt))
 	units := append(diffUnits(m), metamorphicUnits(m)...)
-	units = append(units, invariantUnits(m.tr, opt)...)
+	units = append(units, invariantUnits(m)...)
 	slots := make([][]Result, len(units))
-	// The first two tasks fill channelQueueing's replays, the longest at
-	// small budgets; a replay's error is left for the unit that reads it. The
-	// second to finish releases their trace, which would otherwise stay
-	// live, and raise peak memory, for the rest of the Run.
-	var filled atomic.Int32
+	// The first two tasks fill channelQueueing's runs, the longest at
+	// small budgets; a run's error is left for the unit that reads it.
 	var tasks []func()
 	for _, channels := range []int{1, 4} {
-		tasks = append(tasks, func() {
-			m.channels.replay(channelConfig(channels))
-			if filled.Add(1) == 2 {
-				m.channels.release()
-			}
-		})
+		tasks = append(tasks, func() { m.channels.tsim(channelConfig(channels)) })
 	}
 	for i, unit := range units {
 		tasks = append(tasks, func() { slots[i] = unit() })
@@ -187,18 +195,6 @@ func Failed(rs []Result) int {
 		}
 	}
 	return n
-}
-
-// recordTrace captures the differential input: a seeded synthetic workload
-// serialized through internal/trace, so both simulators replay the exact
-// same reference stream (and the trace codec itself is exercised).
-func recordTrace(opt Options) (*trace.Trace, error) {
-	var buf bytes.Buffer
-	sc := workload.TestScale()
-	if _, err := trace.Record(&buf, opt.Benchmark, opt.Cores, opt.Seed, opt.Refs, sc); err != nil {
-		return nil, err
-	}
-	return trace.Read(&buf)
 }
 
 // pass/fail helpers.

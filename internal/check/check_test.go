@@ -13,35 +13,18 @@ import (
 // quickOpt keeps the harness tests fast; the full budget runs in cmd/check.
 var quickOpt = Options{Refs: 20_000}
 
-// TestDifferentialPasses is the pillar's happy path: identical configs
-// through both simulators, plus secmem agreement.
-func TestDifferentialPasses(t *testing.T) {
-	requireAllPass(t, Differential(quickOpt))
-}
-
 // TestDifferentialDetectsMismatchedConfigs proves the pillar can fail:
-// replaying the same trace through a secure fsim and a non-secure tsim must
-// trip the counter-traffic rules (the non-secure machine performs no
+// running the same workload through a secure fsim and a non-secure tsim
+// must trip the counter-traffic rules (the non-secure machine performs no
 // counter reads at all).
 func TestDifferentialDetectsMismatchedConfigs(t *testing.T) {
-	opt := quickOpt.withDefaults()
-	tr, err := recordTrace(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	secure := config.Default()
 	broken := config.Default()
 	broken.Counter = config.CtrNone
 	broken.CountersInLLC = false
-	rs := CompareTraceRun("morphable", &secure, &broken, tr, opt)
+	rs := compareRuns("morphable", config.Default(), broken, newSimMemo(quickOpt.withDefaults()))
 	if failedNamed(rs, "morphable/dram-counter-read") == 0 {
-		t.Fatalf("secure-vs-non-secure replay not detected:\n%s", render(rs))
+		t.Fatalf("secure-vs-non-secure pair not detected:\n%s", render(rs))
 	}
-}
-
-// TestMetamorphicPasses covers the analytic grid and the tsim properties.
-func TestMetamorphicPasses(t *testing.T) {
-	requireAllPass(t, Metamorphic(quickOpt))
 }
 
 // channelMarginRatio is the least 1-channel/4-channel mean data-read
@@ -60,7 +43,7 @@ func channelMargin(d1, dN float64) error {
 }
 
 // TestChannelQueueingMargin pins the margin channelQueueing's fixed-length
-// trace was sized by. tsim-channel-qdelay only asks that 4 channels add no
+// load was sized by. tsim-channel-qdelay only asks that 4 channels add no
 // queuing delay, so a DRAM model that ignores the channel count, whose
 // delays are equal, passes it. Here the single channel must queue at least
 // channelMarginRatio times as long, on cmd/check's seeds 12 and 13 and on
@@ -69,9 +52,9 @@ func channelMargin(d1, dN float64) error {
 // must fail.
 func TestChannelQueueingMargin(t *testing.T) {
 	for _, seed := range []uint64{12, 13, 3} {
-		m := recordMemo(channelOptions(Options{Seed: seed}))
+		m := newSimMemo(channelOptions(Options{Seed: seed}))
 		delay := func(channels int) float64 {
-			r, err := m.replay(channelConfig(channels))
+			r, err := m.tsim(channelConfig(channels))
 			if err != nil {
 				t.Fatalf("seed %d, %d channels: %v", seed, channels, err)
 			}
@@ -87,7 +70,7 @@ func TestChannelQueueingMargin(t *testing.T) {
 	}
 }
 
-// TestChannelBudgetIsFixed: channelQueueing's trace is channelRefs long
+// TestChannelBudgetIsFixed: channelQueueing's load is channelRefs long
 // whatever the check's budget, -quick included, and keeps the check's
 // seed and benchmark at no fewer than 4 cores.
 func TestChannelBudgetIsFixed(t *testing.T) {
@@ -128,7 +111,7 @@ func TestMonotonicityDetectsRegression(t *testing.T) {
 // fail: the cipher latency is the one knob CtrBipBip genuinely depends on,
 // so perturbing it must break byte-identity.
 func TestBipBipInvarianceDetectsLiveKnob(t *testing.T) {
-	r := bipbipKnobInvariance(recordMemo(quickOpt.withDefaults()), []knobPerturbation{
+	r := bipbipKnobInvariance(newSimMemo(quickOpt.withDefaults()), []knobPerturbation{
 		{"bipbip-latency-2x", func(c *config.Config) { c.BipBipLatency *= 2 }},
 	})
 	if r.Pass {
@@ -136,26 +119,15 @@ func TestBipBipInvarianceDetectsLiveKnob(t *testing.T) {
 	}
 }
 
-// TestInvariantsPass runs both simulators under the recorder over every
-// system and requires zero violations plus exact conservation.
-func TestInvariantsPass(t *testing.T) {
-	requireAllPass(t, Invariants(quickOpt))
-}
-
 // TestInvariantDetectsBrokenConfig proves the pillar can fail: a negative
 // EMCC lookup delay passes config.Validate (which doesn't model policy
 // sanity) but trips emcc.NewPolicy's gated check when tsim builds the
 // policy under the recorder.
 func TestInvariantDetectsBrokenConfig(t *testing.T) {
-	opt := quickOpt.withDefaults()
-	tr, err := recordTrace(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := config.Default()
 	cfg.EMCC = true
 	cfg.EMCCLookupDelay = -sim.NS(1)
-	rs := InvariantRun("broken-emcc", &cfg, tr, opt)
+	rs := invariantRun("broken-emcc", cfg, newSimMemo(quickOpt.withDefaults()))
 	if failedNamed(rs, "broken-emcc/tsim-violations") == 0 {
 		t.Fatalf("negative EMCCLookupDelay not recorded as a violation:\n%s", render(rs))
 	}
@@ -169,8 +141,9 @@ func TestConservationDetectsImbalance(t *testing.T) {
 	}
 }
 
-// TestRunAggregates checks Run wires all three pillars together and that
-// Failed counts correctly on the all-green suite.
+// TestRunAggregates checks Run wires all three pillars together, that
+// every one of them passes, and that Failed counts correctly on the
+// all-green suite.
 func TestRunAggregates(t *testing.T) {
 	rs := Run(quickOpt)
 	pillars := map[Pillar]bool{}
@@ -187,10 +160,34 @@ func TestRunAggregates(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadOptions: options no simulation can run — an unknown
+// benchmark, a negative core count, fewer references than cores, also
+// once -quick has halved the budget — give exactly one failing result,
+// naming the fault, and run nothing.
+func TestRunRejectsBadOptions(t *testing.T) {
+	for _, c := range []struct {
+		opt  Options
+		want string
+	}{
+		{Options{Benchmark: "no-such-benchmark"}, `unknown benchmark "no-such-benchmark"`},
+		{Options{Cores: -1}, "cores must be positive, got -1"},
+		{Options{Refs: 3, Cores: 4}, "3 references leave some of 4 cores none"},
+		{Options{Refs: 3, Quick: true}, "1 references leave some of 2 cores none"},
+	} {
+		rs, m := run(c.opt)
+		if len(rs) != 1 || rs[0].Pass || !strings.Contains(rs[0].Detail, c.want) {
+			t.Errorf("%+v: want one failing result naming %q, got:\n%s", c.opt, c.want, render(rs))
+		}
+		if m != nil {
+			t.Errorf("%+v: rejected options built a memo", c.opt)
+		}
+	}
+}
+
 // TestWithDefaultsIdempotent pins that defaulting options twice — Run
 // does it, then every check it hands the options to — changes nothing, so
-// -quick halves the budget once: the trace Run records is the trace the
-// checks replay.
+// -quick halves the budget once: the budget Run validates is the budget
+// every check runs.
 func TestWithDefaultsIdempotent(t *testing.T) {
 	for _, o := range []Options{
 		{},
@@ -205,16 +202,6 @@ func TestWithDefaultsIdempotent(t *testing.T) {
 	}
 	if got := (Options{Quick: true}).withDefaults().Refs; got != 30_000 {
 		t.Errorf("-quick budget = %d refs, want half of the 60000 default", got)
-	}
-}
-
-func requireAllPass(t *testing.T, rs []Result) {
-	t.Helper()
-	if Failed(rs) > 0 {
-		t.Fatalf("failures:\n%s", render(rs))
-	}
-	if len(rs) == 0 {
-		t.Fatal("no results produced")
 	}
 }
 

@@ -2,7 +2,6 @@ package check
 
 import (
 	"repro/internal/config"
-	"repro/internal/fsim"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/tsim"
@@ -10,16 +9,16 @@ import (
 )
 
 // counterFreeAcceptance is the acceptance check for the counter-free
-// designs (CtrBipBip, CtrInSRAM): a full traced tsim run plus an fsim run
-// must show exactly zero counter traffic — no LLC counter lookups, no
-// on-chip counter misses, no counter/overflow DRAM accesses — and the obs
-// per-request accounting must show a completely silent counter lane
-// (no ctr-probe, no ctr-fetch, no counter-AES queue/compute spans, no
-// counter-source classification) while the design's own cipher segment is
-// the only crypto-lane work and lands at the right site (L2 for BipBip,
-// MC for in-SRAM AES).
-func counterFreeAcceptance(system string, opt Options) []Result {
-	opt = opt.withDefaults()
+// designs (CtrBipBip, CtrInSRAM): a full traced tsim run plus m's fsim run
+// of the design must show exactly zero counter traffic — no LLC counter
+// lookups, no on-chip counter misses, no counter/overflow DRAM accesses —
+// and the obs per-request accounting must show a completely silent
+// counter lane (no ctr-probe, no ctr-fetch, no counter-AES queue/compute
+// spans, no counter-source classification) while the design's own cipher
+// segment is the only crypto-lane work and lands at the right site (L2 for
+// BipBip, MC for in-SRAM AES).
+func counterFreeAcceptance(system string, m *simMemo) []Result {
+	opt := m.opt
 	name := func(rule string) string { return system + "-counter-free/" + rule }
 	cfg := config.Default()
 	if err := config.ApplySystem(&cfg, system); err != nil {
@@ -38,14 +37,10 @@ func counterFreeAcceptance(system string, opt Options) []Result {
 	ts.SetTracer(trc)
 	ts.Run()
 
-	fs, err := fsim.New(&cfg, fsim.Options{
-		Benchmark: opt.Benchmark, Cores: opt.Cores, Seed: opt.Seed,
-		Refs: opt.Refs, Scale: workload.TestScale(),
-	})
+	fs, err := m.fsim(cfg)
 	if err != nil {
 		return []Result{failf(PillarDifferential, name("fsim"), "%v", err)}
 	}
-	fs.Run()
 
 	var out []Result
 
@@ -61,8 +56,8 @@ func counterFreeAcceptance(system string, opt Options) []Result {
 		{ts.Stats(), stats.DramAccessOvfL0Read},
 		{ts.Stats(), stats.DramAccessOvfHiRead},
 		{ts.Stats(), stats.OverflowEvents},
-		{fs.Stats(), stats.FsimCtrLLCLookup},
-		{fs.Stats(), stats.FsimDRAMCtrRead},
+		{fs.st, stats.FsimCtrLLCLookup},
+		{fs.st, stats.FsimDRAMCtrRead},
 	}
 	bad := 0
 	for _, z := range zeroKeys {

@@ -23,12 +23,14 @@ func stableJSON(t *testing.T, st *stats.Set) []byte {
 	return b
 }
 
-func TestFsimDeterminism(t *testing.T) {
+func TestFsimDeterminism(t *testing.T) { testDeterminism(t, true) }
+
+func TestTsimDeterminism(t *testing.T) { testDeterminism(t, false) }
+
+// testDeterminism runs every system twice through one simulator, fsim
+// (functional) or tsim, and requires byte-identical snapshots.
+func testDeterminism(t *testing.T, functional bool) {
 	opt := quickOpt.withDefaults()
-	tr, err := recordTrace(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, system := range diffSystems {
 		t.Run(system, func(t *testing.T) {
 			cfg := config.Default()
@@ -37,69 +39,15 @@ func TestFsimDeterminism(t *testing.T) {
 			}
 			var runs [2][]byte
 			for i := range runs {
-				st, err := runFsim(&cfg, tr, opt.Refs, nil)
+				_, st, err := simulate(functional, &cfg, opt, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				runs[i] = stableJSON(t, st)
 			}
 			if !bytes.Equal(runs[0], runs[1]) {
-				t.Errorf("fsim %s: two identical runs produced different stats", system)
+				t.Errorf("%s: two identical runs produced different stats", system)
 			}
 		})
-	}
-}
-
-func TestTsimDeterminism(t *testing.T) {
-	opt := quickOpt.withDefaults()
-	tr, err := recordTrace(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, system := range diffSystems {
-		t.Run(system, func(t *testing.T) {
-			cfg := config.Default()
-			if err := config.ApplySystem(&cfg, system); err != nil {
-				t.Fatal(err)
-			}
-			var runs [2][]byte
-			for i := range runs {
-				st, err := runTsim(&cfg, tr, opt.Refs, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				runs[i] = stableJSON(t, st)
-			}
-			if !bytes.Equal(runs[0], runs[1]) {
-				t.Errorf("tsim %s: two identical runs produced different stats", system)
-			}
-		})
-	}
-}
-
-// TestTraceRecordDeterminism: recording the same workload twice must give
-// identical traces (the differential pillar depends on it).
-func TestTraceRecordDeterminism(t *testing.T) {
-	opt := quickOpt.withDefaults()
-	a, err := recordTrace(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := recordTrace(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Cores != b.Cores || a.Footprint != b.Footprint || len(a.PerCore) != len(b.PerCore) {
-		t.Fatalf("trace shape differs: %+v vs %+v", a, b)
-	}
-	for c := range a.PerCore {
-		if len(a.PerCore[c]) != len(b.PerCore[c]) {
-			t.Fatalf("core %d: %d vs %d accesses", c, len(a.PerCore[c]), len(b.PerCore[c]))
-		}
-		for i := range a.PerCore[c] {
-			if a.PerCore[c][i] != b.PerCore[c][i] {
-				t.Fatalf("core %d access %d differs", c, i)
-			}
-		}
 	}
 }

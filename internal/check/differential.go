@@ -8,7 +8,6 @@ import (
 	"repro/internal/mc"
 	"repro/internal/secmem"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // systems under differential test, keyed the way Fig 16's legend names them.
@@ -20,7 +19,7 @@ var diffSystems = []string{"non-secure", "morphable", "emcc", "bipbip", "insram"
 // nonzero tolerance cover classifications that timing legitimately perturbs:
 // overlapping misses (MSHR merges), FR-FCFS reordering and MLP change LRU
 // ages, so eviction-driven counts drift between a sequential and a timed
-// replay of one trace (see ROADMAP "Open items").
+// run of one reference stream (see ROADMAP "Open items").
 type diffRule struct {
 	name   string
 	f, t   string
@@ -31,7 +30,7 @@ type diffRule struct {
 // rulesFor reports the comparison rules that apply to a system.
 func rulesFor(system string) []diffRule {
 	rules := []diffRule{
-		// Trace-driven totals: both simulators replay the identical
+		// Stream totals: both simulators run the identical reference
 		// stream, so these cannot legitimately diverge.
 		{name: "loads", f: stats.FsimDataRead, t: stats.TsimLoad},
 		{name: "stores", f: stats.FsimDataWrite, t: stats.TsimStore},
@@ -96,69 +95,46 @@ func rulesFor(system string) []diffRule {
 	return rules
 }
 
-// Differential runs the fsim-vs-tsim trace replay for every system plus the
-// secmem-vs-timing-layer agreement checks.
-func Differential(opt Options) []Result {
-	m := recordMemo(opt.withDefaults())
-	if m.err != nil {
-		return []Result{failf(PillarDifferential, "record-trace", "%v", m.err)}
-	}
-	var out []Result
-	for _, unit := range diffUnits(m) {
-		out = append(out, unit()...)
-	}
-	return out
-}
-
-// diffUnits splits the differential pillar into independent tasks over the
-// memo's shared trace, so Run can fan them across goroutines. The tsim
-// replays come from the memo; each unit builds its own fsim, secmem and
-// traced runs.
+// diffUnits splits the differential pillar into independent tasks, so
+// Run can fan them across workers. The fsim and tsim runs come from the
+// memo, and so does counter-free acceptance's fsim run; each unit builds
+// its own secmem and traced runs.
 func diffUnits(m *simMemo) []func() []Result {
 	var units []func() []Result
 	for _, system := range diffSystems {
-		system := system
 		units = append(units, func() []Result {
 			cfg := config.Default()
 			if err := config.ApplySystem(&cfg, system); err != nil {
 				return []Result{failf(PillarDifferential, system, "%v", err)}
 			}
-			return compareTraceRun(system, &cfg, &cfg, m)
+			return compareRuns(system, cfg, cfg, m)
 		})
 	}
 	for _, design := range []config.CounterDesign{config.CtrMono, config.CtrSC64, config.CtrMorphable} {
-		design := design
 		units = append(units, func() []Result { return secmemAgreementFor(design, m.opt) })
 	}
 	for _, system := range []string{"bipbip", "insram"} {
-		system := system
-		units = append(units, func() []Result { return counterFreeAcceptance(system, m.opt) })
+		units = append(units, func() []Result { return counterFreeAcceptance(system, m) })
 	}
 	return units
 }
 
-// CompareTraceRun replays tr through fsim under cfgF and tsim under cfgT
-// and applies cfgF's system's comparison rules. The two configs are
-// normally identical; tests pass different ones to prove divergence is
-// detected.
-func CompareTraceRun(system string, cfgF, cfgT *config.Config, tr *trace.Trace, opt Options) []Result {
-	return compareTraceRun(system, cfgF, cfgT, newSimMemo(tr, opt))
-}
-
-// compareTraceRun is CompareTraceRun with the tsim replay served by m.
-func compareTraceRun(system string, cfgF, cfgT *config.Config, m *simMemo) []Result {
+// compareRuns reads m's fsim run under cfgF and tsim run under cfgT and
+// applies system's comparison rules. The two configs are normally
+// identical; tests pass different ones to prove divergence is detected.
+func compareRuns(system string, cfgF, cfgT config.Config, m *simMemo) []Result {
 	prefix := func(rule string) string { return system + "/" + rule }
-	fst, err := runFsim(cfgF, m.tr, m.refs, nil)
+	fs, err := m.fsim(cfgF)
 	if err != nil {
 		return []Result{failf(PillarDifferential, prefix("fsim"), "%v", err)}
 	}
-	ts, err := m.replay(*cfgT)
+	ts, err := m.tsim(cfgT)
 	if err != nil {
 		return []Result{failf(PillarDifferential, prefix("tsim"), "%v", err)}
 	}
 	var out []Result
 	for _, r := range rulesFor(system) {
-		out = append(out, compareCounters(prefix(r.name), fst, ts.st, r))
+		out = append(out, compareCounters(prefix(r.name), fs.st, ts.st, r))
 	}
 	return out
 }

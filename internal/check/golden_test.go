@@ -66,28 +66,23 @@ func firstDiff(want, got []byte) string {
 
 func TestGoldenStats(t *testing.T) {
 	opt := quickOpt.withDefaults()
-	tr, err := recordTrace(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, system := range diffSystems {
 		cfg := config.Default()
 		if err := config.ApplySystem(&cfg, system); err != nil {
 			t.Fatal(err)
 		}
-		t.Run("fsim-"+system, func(t *testing.T) {
-			st, err := runFsim(&cfg, tr, opt.Refs, nil)
-			if err != nil {
-				t.Fatal(err)
+		for _, functional := range []bool{true, false} {
+			name := "tsim-" + system
+			if functional {
+				name = "fsim-" + system
 			}
-			checkGolden(t, "fsim-"+system, st)
-		})
-		t.Run("tsim-"+system, func(t *testing.T) {
-			st, err := runTsim(&cfg, tr, opt.Refs, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, "tsim-"+system, st)
-		})
+			t.Run(name, func(t *testing.T) {
+				_, st, err := simulate(functional, &cfg, opt, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGolden(t, name, st)
+			})
+		}
 	}
 }

@@ -1,133 +1,128 @@
 package check
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/config"
+	"repro/internal/fsim"
 	"repro/internal/inv"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/tsim"
+	"repro/internal/workload"
 )
 
-// simMemo is one Run's shared input — the recorded trace and the options
-// its checks are handed — plus a memo that runs each distinct tsim replay
-// of that trace once. The differential replay, the AES and in-SRAM
-// monotonicity runs, bipbip knob invariance and channel-qdelay dominance
-// all ask it for their runs by config, so a config several of them need
-// is simulated once and read by all of them. channelQueueing's own
-// trace has a memo of its own, channels, which Run fills first.
+// simMemo is one Run's shared input — the options its checks are handed —
+// plus a memo that simulates each distinct (simulator, config) pair of
+// that input once. A system's differential unit and its invariant unit
+// read the same fsim and tsim runs, and the AES and in-SRAM monotonicity
+// runs, bipbip knob invariance and qdelay dominance ask it for tsim runs
+// by config, so a run several checks need is simulated once and read by
+// all of them. channelQueueing's heavier load has a memo of its own,
+// channels, which Run fills first.
 //
-// Only plain replays are shared: runs with a recorder, tracer or flight
-// recorder attached, and runs with a warm-up or a synthetic workload,
-// build their simulators outright. A memo lives for one Run or one
-// standalone pillar call.
+// Every entry runs under its own enabled inv.Recorder, which the
+// invariant units read; a recorder only observes, so the entry's
+// statistics equal a recorder-free run's. Traced runs and runs with a
+// warm-up build their simulators outright. A memo lives for one Run.
 type simMemo struct {
-	// tr is the recorded trace. release sets it to nil under mu, which
-	// replay also holds to read it.
-	tr *trace.Trace
-	// err is the error recording tr failed with; every replay reports it.
-	err error
-	// opt are the options the memo's checks are handed.
+	// opt are the defaulted options the memo's checks are handed; every
+	// entry simulates opt.Refs references of opt's synthetic workload.
 	opt Options
-	// refs is the budget of every replay: opt.withDefaults().Refs, the
-	// whole recorded trace (withDefaults is idempotent, so Quick halves
-	// the budget once, before the trace is recorded).
-	refs int64
 
 	mu   sync.Mutex
-	runs map[config.Config]*memoRun
+	runs map[memoKey]*memoRun
 
-	// sims counts replays actually simulated; tests read it after the
+	// sims counts runs actually simulated; tests read it after the
 	// checks finish.
 	sims atomic.Int64
 
-	// channels is the memo of channelQueueing's own trace
-	// (channelOptions). Run and Metamorphic set it; memos that serve no
-	// metamorphic units leave it nil.
+	// channels is the memo of channelQueueing's load (channelOptions).
+	// Run sets it; memos that serve no metamorphic units leave it nil.
 	channels *simMemo
 }
 
-// memoRun is one memoized replay. It is written once, under its
+// memoKey names one memoized run: the simulator and its config.
+type memoKey struct {
+	functional bool // fsim; false is tsim
+	cfg        config.Config
+}
+
+// memoRun is one memoized simulation. It is written once, under its
 // sync.Once, and only read afterwards, so any number of checks may read
 // it concurrently.
 type memoRun struct {
 	once     sync.Once
-	requests int // guarded by simMemo.mu
-	res      tsim.Result
+	requests int           // guarded by simMemo.mu
+	rec      *inv.Recorder // the run's own, enabled recorder
+	res      tsim.Result   // zero for fsim runs
 	st       *stats.Set
 	snap     []byte // st's StableJSON snapshot
 	err      error
 }
 
-// newSimMemo wraps tr, recorded for the checks handed opt.
-func newSimMemo(tr *trace.Trace, opt Options) *simMemo {
-	return &simMemo{tr: tr, opt: opt, refs: opt.withDefaults().Refs, runs: make(map[config.Config]*memoRun)}
+// newSimMemo serves the checks handed opt, which must be defaulted.
+func newSimMemo(opt Options) *simMemo {
+	return &simMemo{opt: opt, runs: make(map[memoKey]*memoRun)}
 }
 
-// recordMemo records opt's trace and wraps it in a fresh memo. A recording
-// error is kept and reported by every replay.
-func recordMemo(opt Options) *simMemo {
-	tr, err := recordTrace(opt)
-	m := newSimMemo(tr, opt)
-	m.err = err
-	return m
+// tsim returns the timing run under cfg.
+func (m *simMemo) tsim(cfg config.Config) (*memoRun, error) {
+	return m.get(memoKey{cfg: cfg})
 }
 
-// replay returns the replay of the trace under cfg. The first
-// request simulates it; every later one, concurrent or not, waits for that
-// run and shares its result.
-func (m *simMemo) replay(cfg config.Config) (*memoRun, error) {
-	if m.err != nil {
-		return nil, m.err
-	}
+// fsim returns the functional run under cfg.
+func (m *simMemo) fsim(cfg config.Config) (*memoRun, error) {
+	return m.get(memoKey{functional: true, cfg: cfg})
+}
+
+// get returns k's run. The first request simulates it; every later one,
+// concurrent or not, waits for that run and shares its result. The run
+// and its recorder are returned with any error, so a caller can still
+// report what the recorder saw before the simulator failed.
+func (m *simMemo) get(k memoKey) (*memoRun, error) {
 	m.mu.Lock()
-	tr := m.tr
-	r := m.runs[cfg]
+	r := m.runs[k]
 	if r == nil {
 		r = new(memoRun)
-		m.runs[cfg] = r
+		m.runs[k] = r
 	}
 	r.requests++
 	m.mu.Unlock()
 	r.once.Do(func() {
-		if tr == nil {
-			r.err = errors.New("check: replay requested after its trace was released")
-			return
-		}
 		m.sims.Add(1)
-		s, err := newReplaySim(&cfg, tr, m.refs, nil)
-		if err != nil {
-			r.err = err
-			return
+		r.rec = inv.NewRecorder()
+		r.rec.Enable(true)
+		r.res, r.st, r.err = simulate(k.functional, &k.cfg, m.opt, r.rec)
+		if r.err == nil {
+			r.snap, r.err = r.st.Snapshot().StableJSON()
 		}
-		r.res = s.Run()
-		r.st = s.Stats()
-		r.snap, r.err = r.st.Snapshot().StableJSON()
 	})
 	return r, r.err
 }
 
-// release drops the memo's trace, so that the rest of a Run need not keep
-// it live once every replay the memo serves has been simulated. A later
-// request for a config not simulated by then reports an error.
-func (m *simMemo) release() {
-	m.mu.Lock()
-	m.tr = nil
-	m.mu.Unlock()
-}
-
-// newReplaySim builds a tsim instance that replays refs references of tr
-// under cfg, with rec (which may be nil) as its invariant recorder.
-func newReplaySim(cfg *config.Config, tr *trace.Trace, refs int64, rec *inv.Recorder) (*tsim.Sim, error) {
-	gens, err := tr.Generators()
-	if err != nil {
-		return nil, err
+// simulate runs opt.Refs references of opt's synthetic workload, at the
+// test scale and without warm-up, through fsim (functional) or tsim under
+// cfg, with rec (which may be nil) as the invariant recorder. An fsim run
+// returns a zero tsim.Result.
+func simulate(functional bool, cfg *config.Config, opt Options, rec *inv.Recorder) (tsim.Result, *stats.Set, error) {
+	if functional {
+		s, err := fsim.New(cfg, fsim.Options{
+			Benchmark: opt.Benchmark, Cores: opt.Cores, Seed: opt.Seed,
+			Refs: opt.Refs, Scale: workload.TestScale(), Recorder: rec,
+		})
+		if err != nil {
+			return tsim.Result{}, nil, err
+		}
+		s.Run()
+		return tsim.Result{}, s.Stats(), nil
 	}
-	return tsim.New(cfg, tsim.Options{
-		Cores: tr.Cores, Refs: refs, Generators: gens, DataBytes: tr.Footprint,
-		Recorder: rec,
+	s, err := tsim.New(cfg, tsim.Options{
+		Benchmark: opt.Benchmark, Cores: opt.Cores, Seed: opt.Seed,
+		Refs: opt.Refs, Scale: workload.TestScale(), Recorder: rec,
 	})
+	if err != nil {
+		return tsim.Result{}, nil, err
+	}
+	return s.Run(), s.Stats(), nil
 }

@@ -11,25 +11,14 @@ import (
 	"repro/internal/stats"
 )
 
-// Metamorphic checks that perturbing configurations moves responses the
-// right way: analytic timelines first (cheap, exhaustive over a parameter
-// grid), then real tsim runs (expensive, a handful of points).
-func Metamorphic(opt Options) []Result {
-	m := recordMemo(opt.withDefaults())
-	m.channels = recordMemo(channelOptions(opt))
-	var out []Result
-	for _, unit := range metamorphicUnits(m) {
-		out = append(out, unit()...)
-	}
-	return out
-}
-
 // metamorphicUnits splits the pillar into independent tasks for parallel
-// Run. The AES, in-SRAM, bipbip and qdelay-dominance units replay the
-// memo's trace through the memo, so a config one of them shares with
-// another pillar runs once. channelQueueing replays its own trace
-// through the memo's channels; ExposedDecryptTail traces synthetic runs
-// and builds its simulators outright.
+// Run: the analytic timeline grid first (cheap, exhaustive over a
+// parameter grid), then real tsim runs (expensive, a handful of points).
+// The AES, in-SRAM, bipbip and qdelay-dominance units read their runs
+// from the memo, so a config one of them shares with another pillar runs
+// once. channelQueueing reads its own load's runs from the memo's
+// channels; ExposedDecryptTail traces its runs and builds its simulators
+// outright.
 func metamorphicUnits(m *simMemo) []func() []Result {
 	return []func() []Result{
 		func() []Result { return TimelineProperties() },
@@ -116,7 +105,7 @@ func bipbipKnobInvariance(m *simMemo, perturbations []knobPerturbation) Result {
 		cfg.Counter = config.CtrBipBip
 		cfg.CountersInLLC = false
 		p.mutate(&cfg)
-		r, err := m.replay(cfg)
+		r, err := m.tsim(cfg)
 		if err != nil {
 			return failf(PillarMetamorphic, name, "%s: %v", p.label, err)
 		}
@@ -233,9 +222,9 @@ func timelineEMCCLoss(cfg *config.Config) string {
 	return ""
 }
 
-// aesMonotonicity runs tsim at increasing AES latencies on the same trace
-// and requires simulated runtime never to decrease: a slower decrypt engine
-// cannot speed the machine up.
+// aesMonotonicity runs tsim at increasing AES latencies on the same
+// workload and requires simulated runtime never to decrease: a slower
+// decrypt engine cannot speed the machine up.
 func aesMonotonicity(m *simMemo) Result {
 	times, err := tsimRuntimes(m, func(cfg *config.Config, i int) {
 		ns := 7 << uint(i) // 7, 14, 28 ns
@@ -247,14 +236,14 @@ func aesMonotonicity(m *simMemo) Result {
 	return assertNonDecreasing("tsim-aes-monotone", "AES latency 7→14→28 ns", times)
 }
 
-// tsimRuntimes replays n configurations derived from the default by
-// mutate(cfg, i) through m and returns the simulated runtimes.
+// tsimRuntimes reads m's tsim runs of n configurations derived from the
+// default by mutate(cfg, i) and returns their simulated runtimes.
 func tsimRuntimes(m *simMemo, mutate func(*config.Config, int), n int) ([]sim.Time, error) {
 	times := make([]sim.Time, n)
 	for i := 0; i < n; i++ {
 		cfg := config.Default()
 		mutate(&cfg, i)
-		r, err := m.replay(cfg)
+		r, err := m.tsim(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -272,7 +261,7 @@ func assertNonDecreasing(name, what string, times []sim.Time) Result {
 	return passf(PillarMetamorphic, name, "%s: runtimes %v non-decreasing", what, times)
 }
 
-// channelRefs is the length of channelQueueing's own trace, whatever
+// channelRefs is the length of channelQueueing's own load, whatever
 // Options.Refs is. It is sized by the property's measured margin: over
 // canneal seeds 1–100 at 4 cores, the single channel's mean data-read
 // queuing delay is at least 3.31× the 4-channel one at 30 k references,
@@ -303,15 +292,15 @@ func channelConfig(channels int) config.Config {
 // mean data-read queuing delay not to increase: more parallel channels can
 // only relieve queue pressure. The property only binds when queues
 // actually form — at light load, channel interleaving perturbs row-buffer
-// locality by more than the (near-zero) queuing delay it relieves — so its
-// trace, which m memoizes, is recorded at channelOptions' raised core
-// count and fixed reference budget, where the single-channel configuration
-// is queue-bound. A small absolute slack absorbs FR-FCFS discreteness on
+// locality by more than the (near-zero) queuing delay it relieves — so
+// its runs, which m memoizes, use channelOptions' raised core count and
+// fixed reference budget, where the single-channel configuration is
+// queue-bound. A small absolute slack absorbs FR-FCFS discreteness on
 // top of that.
 func channelQueueing(m *simMemo) Result {
 	delays := make([]float64, 2)
 	for i, channels := range []int{1, 4} {
-		r, err := m.replay(channelConfig(channels))
+		r, err := m.tsim(channelConfig(channels))
 		if err != nil {
 			return failf(PillarMetamorphic, "tsim-channel-qdelay", "%v", err)
 		}
@@ -339,7 +328,7 @@ func channelQueueingDominance(m *simMemo) Result {
 	cdfs := make([][]float64, 2)
 	totals := make([]int64, 2)
 	for i, channels := range []int{1, 4} {
-		r, err := m.replay(channelConfig(channels))
+		r, err := m.tsim(channelConfig(channels))
 		if err != nil {
 			return failf(PillarMetamorphic, name, "%v", err)
 		}

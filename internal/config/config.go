@@ -91,12 +91,11 @@ func (d CounterDesign) Coverage() int {
 // EMCC-specific knobs of Sections IV and V).
 type Config struct {
 	// --- CPU (Table I) ---
-	Cores         int      // simulated cores
-	CoreClockGHz  float64  // 3.2 GHz
-	ROBEntries    int      // 192-entry ROB
-	IssueWidth    int      // 4-wide OoO
-	L1MSHRs       int      // outstanding misses per core
-	CommitLatency sim.Time // fixed pipeline depth charged per instruction
+	Cores        int     // simulated cores
+	CoreClockGHz float64 // 3.2 GHz
+	ROBEntries   int     // 192-entry ROB
+	IssueWidth   int     // 4-wide OoO
+	L1MSHRs      int     // outstanding misses per core
 
 	// --- Cache hierarchy (Table I; latencies are additive) ---
 	L1Bytes   int64
@@ -206,12 +205,11 @@ type Config struct {
 // with cfg.EMCC = true.
 func Default() Config {
 	return Config{
-		Cores:         4,
-		CoreClockGHz:  3.2,
-		ROBEntries:    192,
-		IssueWidth:    4,
-		L1MSHRs:       6,
-		CommitLatency: sim.NS(1),
+		Cores:        4,
+		CoreClockGHz: 3.2,
+		ROBEntries:   192,
+		IssueWidth:   4,
+		L1MSHRs:      6,
 
 		L1Bytes:       64 << 10,
 		L1Ways:        8,

@@ -3,7 +3,6 @@ package crypto
 import (
 	"bytes"
 	"encoding/hex"
-	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -207,12 +206,6 @@ func TestMACIs56Bits(t *testing.T) {
 	}
 }
 
-func TestOnesCountHelper(t *testing.T) {
-	if onesCount(0b1011) != 3 {
-		t.Fatal("onesCount broken")
-	}
-}
-
 // gf64MulSlow is a reference bit-by-bit shift-and-reduce multiply that
 // cross-checks GF64Mul.
 func gf64MulSlow(a, b uint64) uint64 {
@@ -230,6 +223,3 @@ func gf64MulSlow(a, b uint64) uint64 {
 	}
 	return p
 }
-
-// onesCount is referenced by property tests checking linearity.
-func onesCount(x uint64) int { return bits.OnesCount64(x) }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/inv"
 	"repro/internal/mc"
 	"repro/internal/noc"
-	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -55,10 +54,6 @@ type Sim struct {
 	home *mc.Home
 	pol  emcc.Policy
 	gens []workload.Generator
-
-	trc      *obs.Tracer // nil = tracing disabled
-	warming  bool
-	refsSeen int64 // measured references replayed (pseudo-time for flow events)
 
 	// Cached stats cells for the per-reference and per-miss counters (see
 	// bindHot); rarer events (overflow, invalidation, direct-cipher ops)
@@ -174,10 +169,6 @@ func (s *Sim) bindHot() {
 // Stats exposes the collected metrics.
 func (s *Sim) Stats() *stats.Set { return s.st }
 
-// SetTracer attaches a tracer. fsim has no clock, so misses are recorded
-// as flow events stamped with the reference index; warmup is never traced.
-func (s *Sim) SetTracer(t *obs.Tracer) { s.trc = t }
-
 // Space exposes the address map (nil for non-secure runs).
 func (s *Sim) Space() *addr.Space {
 	if s.home == nil {
@@ -189,9 +180,7 @@ func (s *Sim) Space() *addr.Space {
 // Run replays the warmup (discarding statistics) and then opt.Refs
 // references, round-robin across cores.
 func (s *Sim) Run() {
-	s.warming = true
 	s.replay(s.opt.Warmup)
-	s.warming = false
 	s.st.Reset()
 	s.replay(s.opt.Refs)
 }
@@ -208,9 +197,6 @@ func (s *Sim) replay(refs int64) {
 // access replays one reference through the hierarchy.
 func (s *Sim) access(core int, a workload.Access) {
 	block := addr.BlockOf(a.Addr)
-	if !s.warming {
-		s.refsSeen++
-	}
 	if a.Write {
 		*s.cDataWrite++
 	} else {
@@ -238,18 +224,12 @@ func (s *Sim) access(core int, a workload.Access) {
 	// LLC.
 	*s.cLLCDataAccess++
 	if s.llcOf(block).Lookup(block) {
-		if s.trc != nil && !s.warming {
-			s.trc.Flow(core, block, a.Write, false, s.refsSeen)
-		}
 		// Non-inclusive victim-cache style: promote to L2.
 		s.fillL2(core, block, false)
 		s.fillL1(core, block, a.Write)
 		return
 	}
 	*s.cLLCDataMiss++
-	if s.trc != nil && !s.warming {
-		s.trc.Flow(core, block, a.Write, true, s.refsSeen)
-	}
 
 	// DRAM data read, with its counter access (counter-backed designs) or
 	// a direct-cipher decryption (counter-free designs).

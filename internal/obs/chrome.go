@@ -31,10 +31,7 @@ type chromeWriter struct {
 	err   error
 }
 
-const (
-	samplerPID = 0 // counter track; cores are pid 1+core
-	flowPID    = 9999
-)
+const samplerPID = 0 // counter track; cores are pid 1+core
 
 func newChromeWriter(w io.Writer, meta map[string]string) *chromeWriter {
 	cw := &chromeWriter{w: bufio.NewWriterSize(w, 64<<10), first: true, named: make(map[string]bool)}
@@ -154,18 +151,6 @@ func (c *chromeWriter) writeInstant(name string, core int, at sim.Time) {
 	c.ensureNamed(pid, 0, fmt.Sprintf("core %d", core), "events")
 	c.event(fmt.Sprintf(`{"name":%s,"ph":"i","s":"p","ts":%s,"pid":%d,"tid":0}`,
 		strconv.Quote(name), usec(at), pid))
-}
-
-// writeFlow streams one fsim miss classification; fsim is untimed, so the
-// reference sequence number stands in for the timestamp (1 ref = 1 µs).
-func (c *chromeWriter) writeFlow(core int, block uint64, write, llcMiss bool, seq int64) {
-	c.ensureNamed(flowPID, core, "fsim misses", fmt.Sprintf("core %d", core))
-	kind := "load"
-	if write {
-		kind = "store"
-	}
-	c.event(fmt.Sprintf(`{"name":"%s 0x%x","cat":"fsim","ph":"i","s":"t","ts":%d,"pid":%d,"tid":%d,"args":{"llc-miss":%t}}`,
-		kind, block, seq, flowPID, core, llcMiss))
 }
 
 func (c *chromeWriter) close() error {

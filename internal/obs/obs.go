@@ -635,24 +635,6 @@ func (t *Tracer) Instant(name string, core int, at sim.Time) {
 	}
 }
 
-// Flow records one functional-simulator miss classification: fsim has no
-// clock, so seq (the reference index) stands in for time and the event
-// carries only the path the miss took.
-func (t *Tracer) Flow(core int, block uint64, write, llcMiss bool, seq int64) {
-	if t == nil {
-		return
-	}
-	if t.st != nil {
-		t.st.Inc(stats.ObsFlowL2Miss)
-		if llcMiss {
-			t.st.Inc(stats.ObsFlowLLCMiss)
-		}
-	}
-	if t.cw != nil {
-		t.cw.writeFlow(core, block, write, llcMiss, seq)
-	}
-}
-
 // Close flushes and finalises the Chrome stream (no-op without one).
 func (t *Tracer) Close() error {
 	if t == nil || t.cw == nil {

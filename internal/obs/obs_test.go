@@ -108,7 +108,6 @@ func TestNilSafety(t *testing.T) {
 	r.Finish(10)
 	tr.Sample("x", 0, 1)
 	tr.Instant("x", 0, 0)
-	tr.Flow(0, 1, false, false, 0)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -155,9 +155,6 @@ const (
 	ObsExposedDecryptNS    = "obs/exposed-decrypt-ns"
 	ObsOverlappedDecryptNS = "obs/overlapped-decrypt-ns"
 
-	ObsFlowL2Miss  = "obs/flow/l2-miss"
-	ObsFlowLLCMiss = "obs/flow/llc-miss"
-
 	ObsCtrSrcL2  = "obs/ctr-src/l2"
 	ObsCtrSrcLLC = "obs/ctr-src/llc"
 	ObsCtrSrcMC  = "obs/ctr-src/mc"
