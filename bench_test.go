@@ -119,13 +119,25 @@ func BenchmarkAblations(b *testing.B) { benchFigure(b, "ablation", "", 0) }
 
 // ---- Micro-benchmarks of the substrates ----
 
+// BenchmarkGF64Mul varies both operands (two steps of one xorshift64
+// stream per multiply), so no operand's bits stay in the branch predictor
+// or the multiplier's table.
 func BenchmarkGF64Mul(b *testing.B) {
 	var acc uint64
-	for i := 0; i < b.N; i++ {
-		acc ^= crypto.GF64Mul(uint64(i)*0x9e3779b9, 0xfeedface)
+	x := uint64(0x9e3779b97f4a7c15)
+	step := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
 	}
-	_ = acc
+	for i := 0; i < b.N; i++ {
+		acc ^= crypto.GF64Mul(step(), step())
+	}
+	gf64Sink = acc
 }
+
+var gf64Sink uint64
 
 func BenchmarkBlockMAC(b *testing.B) {
 	e := crypto.NewEngine([]byte("benchmark key!!!"))
@@ -212,6 +224,7 @@ func BenchmarkWorkloadCanneal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gens[0].Next()
 	}
@@ -222,8 +235,30 @@ func BenchmarkWorkloadPageRank(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gens[0].Next()
+	}
+}
+
+// BenchmarkWorkloadGraphHub prices a generator that starts on a hub. Each
+// op builds a fresh 4-core pageRank set on e2ebench sweep's 2^17-vertex
+// graph (cached after the first) and pulls 32 k references from core 0,
+// whose partition starts at vertex 0, the graph's 9.8 k-edge hub: its
+// bytes/op and allocs/op are what walking a hub costs the generator.
+func BenchmarkWorkloadGraphHub(b *testing.B) {
+	sc := workload.TestScale()
+	sc.GraphVertices = 1 << 17
+	if _, err := workload.NewSet("pageRank", 4, 1, sc); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gens, _ := workload.NewSet("pageRank", 4, 1, sc)
+		for j := 0; j < 1<<15; j++ {
+			gens[0].Next()
+		}
 	}
 }
 

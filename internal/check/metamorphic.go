@@ -17,17 +17,17 @@ import (
 // The AES, in-SRAM, bipbip and qdelay-dominance units read their runs
 // from the memo, so a config one of them shares with another pillar runs
 // once. channelQueueing reads its own load's runs from the memo's
-// channels; ExposedDecryptTail traces its runs and builds its simulators
+// channels; exposedDecryptTail traces its runs and builds its simulators
 // outright.
 func metamorphicUnits(m *simMemo) []func() []Result {
 	return []func() []Result{
-		func() []Result { return TimelineProperties() },
+		func() []Result { return timelineProperties() },
 		func() []Result { return []Result{aesMonotonicity(m)} },
 		func() []Result { return []Result{channelQueueing(m.channels)} },
 		func() []Result { return []Result{channelQueueingDominance(m)} },
 		func() []Result { return inSRAMBankMonotonicity(m) },
 		func() []Result { return []Result{bipbipKnobInvariance(m, bipbipKnobs)} },
-		func() []Result { return []Result{ExposedDecryptTail(m.opt)} },
+		func() []Result { return []Result{exposedDecryptTail(m.opt)} },
 	}
 }
 
@@ -126,7 +126,7 @@ func bipbipKnobInvariance(m *simMemo, perturbations []knobPerturbation) Result {
 		"%d counter-mode knob perturbations leave bipbip byte-identical", len(perturb)-1)
 }
 
-// TimelineProperties sweeps the analytic decrypt-timeline model (Figs 9/10)
+// timelineProperties sweeps the analytic decrypt-timeline model (Figs 9/10)
 // over a grid of latency configurations and asserts two properties at every
 // point:
 //
@@ -136,7 +136,7 @@ func bipbipKnobInvariance(m *simMemo, perturbations []knobPerturbation) Result {
 //     keystream is ready early but the xor still serialises after the
 //     ciphertext arrives, exactly as in the baseline.
 //  2. Raising AES latency alone never shortens any endpoint.
-func TimelineProperties() []Result {
+func timelineProperties() []Result {
 	aesGrid := []float64{7, 14, 28, 56}
 	hopGrid := []float64{0.5, 1, 2}
 	tclGrid := []float64{10, 13.75, 20}

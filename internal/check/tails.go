@@ -8,7 +8,7 @@ import (
 	"repro/internal/workload"
 )
 
-// ExposedDecryptTail reads the paper's central claim off the tail of the
+// exposedDecryptTail reads the paper's central claim off the tail of the
 // distribution rather than the mean: at the reference scale — where the MC
 // counter cache actually misses — EMCC's p99 exposed decrypt/verify time
 // must not exceed the Morphable baseline's — and a p99 tie (both tails in
@@ -19,7 +19,7 @@ import (
 // weaker result than the paper claims. Runs at DefaultScale on purpose:
 // the miniature test scale lets the counter cache cover the whole
 // footprint, leaving the baseline nothing to hide (see tsim/tracing_test).
-func ExposedDecryptTail(opt Options) Result {
+func exposedDecryptTail(opt Options) Result {
 	const name = "tsim-exposed-decrypt-p99"
 	opt = opt.withDefaults()
 

@@ -282,25 +282,26 @@ func (g *graph) orderBFS() []uint32 {
 	return g.bfsOrder
 }
 
+// computeBFS visits vertices in the order it discovers them, so order is
+// its own queue: order[head:] holds the discovered vertices not yet
+// scanned.
 func (g *graph) computeBFS() {
 	order := make([]uint32, 0, g.v)
 	seen := make([]bool, g.v)
-	queue := make([]uint32, 0, g.v)
+	head := 0
 	for root := 0; root < g.v; root++ {
 		if seen[root] {
 			continue
 		}
 		seen[root] = true
-		queue = append(queue[:0], uint32(root))
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
+		order = append(order, uint32(root))
+		for ; head < len(order); head++ {
+			v := order[head]
 			for i := g.rowPtr[v]; i < g.rowPtr[v+1]; i++ {
 				u := g.adj[i]
 				if !seen[u] {
 					seen[u] = true
-					queue = append(queue, u)
+					order = append(order, u)
 				}
 			}
 		}
@@ -341,9 +342,21 @@ func (g *graph) computeDFS() {
 	g.dfsOrder = order
 }
 
-// kernelFunc emits the accesses for one unit of work (typically one vertex)
-// into out. State lives in the generator.
-type kernelFunc func(s *graphGen, out *[]Access)
+// edgeChunk is the most edges of one vertex a kernel call walks. A hub's
+// adjacency (79.6 k edges at DefaultScale) streams out over many calls, so
+// a generator's buffer is bounded by chunkRefs, not by the largest degree.
+const edgeChunk = 64
+
+// chunkRefs bounds the references of one kernel call: at most three per
+// edge (adjacency read, gather, write), a prologue of at most two and an
+// epilogue of one. triangleCount's 8×8-edge cap emits at most 81.
+const chunkRefs = 3*edgeChunk + 3
+
+// kernelFunc emits the accesses of one call into s.buf: up to edgeChunk
+// edges of the current vertex (see graphGen.edges), with the vertex's
+// prologue on its first call and its epilogue on its last. It reports
+// whether the vertex is finished.
+type kernelFunc func(s *graphGen) (done bool)
 
 // graphKernels maps benchmark names to kernel behaviours.
 var graphKernels = map[string]kernelFunc{
@@ -365,8 +378,12 @@ type graphGen struct {
 	r      *rng
 	lo, hi uint32 // partition [lo, hi)
 	cursor uint32
-	buf    []Access
-	pos    int
+	// edge is the adjacency slot the current vertex's walk resumes at;
+	// mid reports that the vertex has had its first call.
+	edge uint32
+	mid  bool
+	buf  []Access // capacity chunkRefs, allocated once
+	pos  int
 
 	// recent is a ring of recently gathered vertices. Real graph kernels
 	// re-touch hot vertices far more often than a uniform pass suggests
@@ -432,7 +449,8 @@ func newGraphGen(name string, kern kernelFunc, g *graph, core, cores int, seed u
 	if core == cores-1 {
 		hi = uint32(g.v)
 	}
-	return &graphGen{name: name, kern: kern, g: g, r: newRNG(seed), lo: lo, hi: hi, cursor: lo}
+	return &graphGen{name: name, kern: kern, g: g, r: newRNG(seed), lo: lo, hi: hi, cursor: lo,
+		buf: make([]Access, 0, chunkRefs)}
 }
 
 func (s *graphGen) Name() string     { return s.name }
@@ -442,8 +460,9 @@ func (s *graphGen) Next() Access {
 	for s.pos >= len(s.buf) {
 		s.buf = s.buf[:0]
 		s.pos = 0
-		s.kern(s, &s.buf)
-		s.advance()
+		if s.kern(s) {
+			s.advance()
+		}
 	}
 	a := s.buf[s.pos]
 	s.pos++
@@ -459,130 +478,163 @@ func (s *graphGen) advance() {
 	}
 }
 
+// edges returns the adjacency slots [from, to) a kernel call walks for
+// vertex v, the next edgeChunk or fewer of its edges, and whether the call
+// is v's first (it emits the prologue) and its last (the epilogue).
+func (s *graphGen) edges(v uint32) (from, to uint32, first, last bool) {
+	first = !s.mid
+	if first {
+		s.edge = s.g.rowPtr[v]
+	}
+	end := s.g.rowPtr[v+1]
+	from = s.edge
+	to = from + min(end-from, edgeChunk)
+	last = to == end
+	s.edge, s.mid = to, !last
+	return from, to, first, last
+}
+
 // ---- Kernels ----
+//
+// Each kernel draws from s.r in the order a whole-vertex walk would (per
+// edge: the gather, then any write draw; then the epilogue's draw), so how
+// a vertex splits into calls never changes the stream.
 
 // kernPageRank: sequential row pointers, irregular neighbor-rank gathers,
 // one write per vertex. The classic counter-cache killer.
-func kernPageRank(s *graphGen, out *[]Access) {
+func kernPageRank(s *graphGen) bool {
 	g, v := s.g, s.cursor
-	*out = append(*out,
-		Access{Addr: g.addrRowPtr(v), NonMem: 2},
-		Access{Addr: g.addrRowPtr(v + 1), NonMem: 1},
-	)
-	for i := g.rowPtr[v]; i < g.rowPtr[v+1]; i++ {
+	from, to, first, last := s.edges(v)
+	if first {
+		s.buf = append(s.buf,
+			Access{Addr: g.addrRowPtr(v), NonMem: 2},
+			Access{Addr: g.addrRowPtr(v + 1), NonMem: 1},
+		)
+	}
+	for i := from; i < to; i++ {
 		u := s.gatherTarget(g.adj[i])
-		*out = append(*out,
+		s.buf = append(s.buf,
 			Access{Addr: g.addrAdj(i), NonMem: 1},
 			Access{Addr: g.addrProp(0, u), NonMem: 14},
 		)
 	}
-	*out = append(*out, Access{Addr: g.addrProp(1, v), Write: true, NonMem: 6})
+	if last {
+		s.buf = append(s.buf, Access{Addr: g.addrProp(1, v), Write: true, NonMem: 6})
+	}
+	return last
 }
 
 // kernLabelProp builds graphColoring / connectedComp: gather neighbor
 // labels from property array k, write own with probability pWrite.
 func kernLabelProp(prop int, pWrite float64) kernelFunc {
-	return func(s *graphGen, out *[]Access) {
+	return func(s *graphGen) bool {
 		g, v := s.g, s.cursor
-		*out = append(*out, Access{Addr: g.addrRowPtr(v), NonMem: 2})
-		for i := g.rowPtr[v]; i < g.rowPtr[v+1]; i++ {
+		from, to, first, last := s.edges(v)
+		if first {
+			s.buf = append(s.buf, Access{Addr: g.addrRowPtr(v), NonMem: 2})
+		}
+		for i := from; i < to; i++ {
 			u := s.gatherTarget(g.adj[i])
-			*out = append(*out,
+			s.buf = append(s.buf,
 				Access{Addr: g.addrAdj(i), NonMem: 1},
 				Access{Addr: g.addrProp(prop, u), NonMem: 14},
 			)
 		}
-		if s.r.float() < pWrite {
-			*out = append(*out, Access{Addr: g.addrProp(prop, v), Write: true, NonMem: 2})
+		if last && s.r.float() < pWrite {
+			s.buf = append(s.buf, Access{Addr: g.addrProp(prop, v), Write: true, NonMem: 2})
 		}
+		return last
 	}
 }
 
 // kernDegree: degree centrality — row-pointer streaming plus a property
 // write; regular compared to the gather kernels.
-func kernDegree(s *graphGen, out *[]Access) {
+func kernDegree(s *graphGen) bool {
 	g, v := s.g, s.cursor
-	*out = append(*out,
+	s.buf = append(s.buf,
 		Access{Addr: g.addrRowPtr(v), NonMem: 3},
 		Access{Addr: g.addrRowPtr(v + 1), NonMem: 1},
 		Access{Addr: g.addrProp(3, v), Write: true, NonMem: 2},
 	)
+	return true
 }
 
 // kernTraversal builds BFS/DFS: vertices visited in traversal order, each
 // visit scanning its adjacency burst and probing the visited flags of its
 // neighbors (irregular), marking newly discovered ones (writes).
 func kernTraversal(orderOf func(*graph) []uint32) kernelFunc {
-	return func(s *graphGen, out *[]Access) {
+	return func(s *graphGen) bool {
 		g := s.g
 		order := orderOf(g)
 		// The cursor indexes the traversal order, partitioned like
 		// vertices are.
 		v := order[s.cursor%uint32(len(order))]
-		*out = append(*out, Access{Addr: g.addrRowPtr(v), NonMem: 2})
+		from, to, first, last := s.edges(v)
+		if first {
+			s.buf = append(s.buf, Access{Addr: g.addrRowPtr(v), NonMem: 2})
+		}
 		deg := g.degree(v)
 		writeP := 0.0
 		if deg > 0 {
 			writeP = 1.0 / float64(deg) * 4 // a few discoveries per visit
 		}
-		for i := g.rowPtr[v]; i < g.rowPtr[v+1]; i++ {
+		for i := from; i < to; i++ {
 			u := s.gatherTarget(g.adj[i])
-			*out = append(*out,
+			s.buf = append(s.buf,
 				Access{Addr: g.addrAdj(i), NonMem: 1},
 				Access{Addr: g.addrProp(2, u), NonMem: 12},
 			)
 			if s.r.float() < writeP {
-				*out = append(*out, Access{Addr: g.addrProp(2, u), Write: true, NonMem: 1})
+				s.buf = append(s.buf, Access{Addr: g.addrProp(2, u), Write: true, NonMem: 1})
 			}
 		}
+		return last
 	}
 }
 
 // kernTriangle: triangle counting — for each vertex, intersect its
 // adjacency list with each neighbor's (two concurrent sequential scans at
-// unrelated offsets). Read-dominated, heavy adjacency traffic.
-func kernTriangle(s *graphGen, out *[]Access) {
+// unrelated offsets). Read-dominated, heavy adjacency traffic. The work per
+// vertex is capped, so one call finishes it.
+func kernTriangle(s *graphGen) bool {
 	g, v := s.g, s.cursor
-	*out = append(*out, Access{Addr: g.addrRowPtr(v), NonMem: 2})
-	deg := g.degree(v)
+	s.buf = append(s.buf, Access{Addr: g.addrRowPtr(v), NonMem: 2})
 	// Cap per-vertex work so hub vertices do not monopolise the stream.
-	limit := g.rowPtr[v] + uint32(minInt(deg, 8))
+	limit := g.rowPtr[v] + uint32(min(g.degree(v), 8))
 	for i := g.rowPtr[v]; i < limit; i++ {
 		u := g.adj[i]
-		*out = append(*out,
+		s.buf = append(s.buf,
 			Access{Addr: g.addrAdj(i), NonMem: 1},
 			Access{Addr: g.addrRowPtr(u), NonMem: 1},
 		)
-		uLimit := g.rowPtr[u] + uint32(minInt(g.degree(u), 8))
+		uLimit := g.rowPtr[u] + uint32(min(g.degree(u), 8))
 		for j := g.rowPtr[u]; j < uLimit; j++ {
-			*out = append(*out, Access{Addr: g.addrAdj(j), NonMem: 2})
+			s.buf = append(s.buf, Access{Addr: g.addrAdj(j), NonMem: 2})
 		}
 	}
+	return true
 }
 
 // kernSSSP: Bellman-Ford-style relaxation — read own distance, gather
 // neighbor distances, relax (write) a fraction of them.
-func kernSSSP(s *graphGen, out *[]Access) {
+func kernSSSP(s *graphGen) bool {
 	g, v := s.g, s.cursor
-	*out = append(*out,
-		Access{Addr: g.addrRowPtr(v), NonMem: 2},
-		Access{Addr: g.addrProp(0, v), NonMem: 1},
-	)
-	for i := g.rowPtr[v]; i < g.rowPtr[v+1]; i++ {
+	from, to, first, last := s.edges(v)
+	if first {
+		s.buf = append(s.buf,
+			Access{Addr: g.addrRowPtr(v), NonMem: 2},
+			Access{Addr: g.addrProp(0, v), NonMem: 1},
+		)
+	}
+	for i := from; i < to; i++ {
 		u := s.gatherTarget(g.adj[i])
-		*out = append(*out,
+		s.buf = append(s.buf,
 			Access{Addr: g.addrAdj(i), NonMem: 1},
 			Access{Addr: g.addrProp(0, u), NonMem: 12},
 		)
 		if s.r.float() < 0.2 {
-			*out = append(*out, Access{Addr: g.addrProp(0, u), Write: true, NonMem: 1})
+			s.buf = append(s.buf, Access{Addr: g.addrProp(0, u), Write: true, NonMem: 1})
 		}
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return last
 }

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -199,5 +201,337 @@ func BenchmarkGraphBuildSerial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		graphSink = buildGraphWorkers(1<<18, 8, 1, 1)
+	}
+}
+
+// ---- The whole-vertex kernels: the oracle for the chunked ones ----
+
+// refKernel is a kernel as it was before kernels walked vertices in chunks
+// of edgeChunk edges: one call emits every reference of the vertex at
+// s.cursor, drawing from s.r in the same order.
+type refKernel func(s *graphGen, out *[]Access)
+
+var refKernels = map[string]refKernel{
+	"pageRank":      refPageRank,
+	"graphColoring": refLabelProp(1, 1.0),
+	"connectedComp": refLabelProp(2, 0.5),
+	"degreeCentr":   refDegree,
+	"BFS":           refTraversal(func(g *graph) []uint32 { return g.orderBFS() }),
+	"DFS":           refTraversal(func(g *graph) []uint32 { return g.orderDFS() }),
+	"triangleCount": refTriangle,
+	"shortestPath":  refSSSP,
+}
+
+func refPageRank(s *graphGen, out *[]Access) {
+	g, v := s.g, s.cursor
+	*out = append(*out,
+		Access{Addr: g.addrRowPtr(v), NonMem: 2},
+		Access{Addr: g.addrRowPtr(v + 1), NonMem: 1},
+	)
+	for i := g.rowPtr[v]; i < g.rowPtr[v+1]; i++ {
+		u := s.gatherTarget(g.adj[i])
+		*out = append(*out,
+			Access{Addr: g.addrAdj(i), NonMem: 1},
+			Access{Addr: g.addrProp(0, u), NonMem: 14},
+		)
+	}
+	*out = append(*out, Access{Addr: g.addrProp(1, v), Write: true, NonMem: 6})
+}
+
+func refLabelProp(prop int, pWrite float64) refKernel {
+	return func(s *graphGen, out *[]Access) {
+		g, v := s.g, s.cursor
+		*out = append(*out, Access{Addr: g.addrRowPtr(v), NonMem: 2})
+		for i := g.rowPtr[v]; i < g.rowPtr[v+1]; i++ {
+			u := s.gatherTarget(g.adj[i])
+			*out = append(*out,
+				Access{Addr: g.addrAdj(i), NonMem: 1},
+				Access{Addr: g.addrProp(prop, u), NonMem: 14},
+			)
+		}
+		if s.r.float() < pWrite {
+			*out = append(*out, Access{Addr: g.addrProp(prop, v), Write: true, NonMem: 2})
+		}
+	}
+}
+
+func refDegree(s *graphGen, out *[]Access) {
+	g, v := s.g, s.cursor
+	*out = append(*out,
+		Access{Addr: g.addrRowPtr(v), NonMem: 3},
+		Access{Addr: g.addrRowPtr(v + 1), NonMem: 1},
+		Access{Addr: g.addrProp(3, v), Write: true, NonMem: 2},
+	)
+}
+
+func refTraversal(orderOf func(*graph) []uint32) refKernel {
+	return func(s *graphGen, out *[]Access) {
+		g := s.g
+		order := orderOf(g)
+		v := order[s.cursor%uint32(len(order))]
+		*out = append(*out, Access{Addr: g.addrRowPtr(v), NonMem: 2})
+		deg := g.degree(v)
+		writeP := 0.0
+		if deg > 0 {
+			writeP = 1.0 / float64(deg) * 4
+		}
+		for i := g.rowPtr[v]; i < g.rowPtr[v+1]; i++ {
+			u := s.gatherTarget(g.adj[i])
+			*out = append(*out,
+				Access{Addr: g.addrAdj(i), NonMem: 1},
+				Access{Addr: g.addrProp(2, u), NonMem: 12},
+			)
+			if s.r.float() < writeP {
+				*out = append(*out, Access{Addr: g.addrProp(2, u), Write: true, NonMem: 1})
+			}
+		}
+	}
+}
+
+func refTriangle(s *graphGen, out *[]Access) {
+	g, v := s.g, s.cursor
+	*out = append(*out, Access{Addr: g.addrRowPtr(v), NonMem: 2})
+	limit := g.rowPtr[v] + uint32(min(g.degree(v), 8))
+	for i := g.rowPtr[v]; i < limit; i++ {
+		u := g.adj[i]
+		*out = append(*out,
+			Access{Addr: g.addrAdj(i), NonMem: 1},
+			Access{Addr: g.addrRowPtr(u), NonMem: 1},
+		)
+		uLimit := g.rowPtr[u] + uint32(min(g.degree(u), 8))
+		for j := g.rowPtr[u]; j < uLimit; j++ {
+			*out = append(*out, Access{Addr: g.addrAdj(j), NonMem: 2})
+		}
+	}
+}
+
+func refSSSP(s *graphGen, out *[]Access) {
+	g, v := s.g, s.cursor
+	*out = append(*out,
+		Access{Addr: g.addrRowPtr(v), NonMem: 2},
+		Access{Addr: g.addrProp(0, v), NonMem: 1},
+	)
+	for i := g.rowPtr[v]; i < g.rowPtr[v+1]; i++ {
+		u := s.gatherTarget(g.adj[i])
+		*out = append(*out,
+			Access{Addr: g.addrAdj(i), NonMem: 1},
+			Access{Addr: g.addrProp(0, u), NonMem: 12},
+		)
+		if s.r.float() < 0.2 {
+			*out = append(*out, Access{Addr: g.addrProp(0, u), Write: true, NonMem: 1})
+		}
+	}
+}
+
+// refGen is the whole-vertex generator the chunked one must reproduce: it
+// drives a generator's state (rng, locality ring, cursor) with the
+// whole-vertex kernel, expanding one vertex into buf at a time.
+type refGen struct {
+	s    *graphGen
+	kern refKernel
+	buf  []Access
+	pos  int
+}
+
+func newRefGen(s *graphGen) *refGen { return &refGen{s: s, kern: refKernels[s.name]} }
+
+// expand appends the references of the next vertex visit to buf and
+// returns the visited vertex's degree.
+func (r *refGen) expand() int {
+	v := r.s.cursor
+	switch r.s.name {
+	case "BFS":
+		v = r.s.g.orderBFS()[v]
+	case "DFS":
+		v = r.s.g.orderDFS()[v]
+	}
+	r.kern(r.s, &r.buf)
+	r.s.advance()
+	return r.s.g.degree(v)
+}
+
+func (r *refGen) next() Access {
+	for r.pos >= len(r.buf) {
+		r.buf, r.pos = r.buf[:0], 0
+		r.expand()
+	}
+	a := r.buf[r.pos]
+	r.pos++
+	return a
+}
+
+// graphNames lists the graph benchmarks in figure order.
+func graphNames() []string {
+	var names []string
+	for _, n := range PrimaryNames() {
+		if _, ok := graphKernels[n]; ok {
+			names = append(names, n)
+		}
+	}
+	return names
+}
+
+// matchReference pulls len(want) references from gen and fails at the
+// first that differs from want, or the first time gen's buffer outgrows
+// chunkRefs or changes capacity.
+func matchReference(t *testing.T, gen *graphGen, want []Access, what string) {
+	t.Helper()
+	for i, w := range want {
+		if a := gen.Next(); a != w {
+			t.Fatalf("%s: reference %d is %+v, the whole-vertex kernel's is %+v", what, i, a, w)
+		}
+		if len(gen.buf) > chunkRefs || cap(gen.buf) != chunkRefs {
+			t.Fatalf("%s: after reference %d the buffer holds %d of capacity %d, want at most %d of %d",
+				what, i, len(gen.buf), cap(gen.buf), chunkRefs, chunkRefs)
+		}
+	}
+}
+
+// TestGraphKernelsMatchReference: for every graph benchmark, at TestScale
+// (seeds 1 to 3) and at the sweep's 2^17 vertices (seeds 1 and 2; each
+// costs ~4 s under -race), at 1, 2 and 4 cores, each core's stream equals
+// the whole-vertex kernel's over its first vertex (core 0's is the graph's
+// hub), at least 8 visits and, if one comes within 512, a vertex whose
+// degree is a multiple of edgeChunk: its last chunk is full, and the vertex
+// must still end there. Every benchmark's walks must reach such a vertex.
+func TestGraphKernelsMatchReference(t *testing.T) {
+	const minVisits, maxVisits = 8, 512
+	sweep := TestScale()
+	sweep.GraphVertices = 1 << 17
+	reached := map[string]bool{}
+	for _, run := range []struct {
+		sc    Scale
+		seeds []uint64
+	}{{TestScale(), []uint64{1, 2, 3}}, {sweep, []uint64{1, 2}}} {
+		for _, name := range graphNames() {
+			for _, cores := range []int{1, 2, 4} {
+				for _, seed := range run.seeds {
+					got, err := NewSet(name, cores, seed, run.sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref, _ := NewSet(name, cores, seed, run.sc)
+					for c := range got {
+						oracle := newRefGen(ref[c].(*graphGen))
+						for visits, full := 0, false; visits < minVisits || !full && visits < maxVisits; visits++ {
+							deg := oracle.expand()
+							if deg > 0 && deg%edgeChunk == 0 {
+								full, reached[name] = true, true
+							}
+						}
+						what := fmt.Sprintf("%s, 2^%d vertices, %d cores, seed %d, core %d",
+							name, bits.Len(uint(run.sc.GraphVertices))-1, cores, seed, c)
+						matchReference(t, got[c].(*graphGen), oracle.buf, what)
+					}
+				}
+			}
+		}
+	}
+	for _, name := range graphNames() {
+		if !reached[name] {
+			t.Errorf("%s: no walk reached a vertex whose degree is a multiple of %d", name, edgeChunk)
+		}
+	}
+}
+
+// FuzzGraphStreamMatchesReference: for any graph benchmark, 1 to 4 cores
+// and seed, each core's stream equals the whole-vertex kernel's over 1024
+// references after skipping up to 65535 (a 4-core TestScale partition
+// wraps after ~20 k).
+func FuzzGraphStreamMatchesReference(f *testing.F) {
+	names := graphNames()
+	sc := TestScale()
+	f.Fuzz(func(t *testing.T, bench, cores uint8, seed uint64, skip uint16) {
+		name, n := names[int(bench)%len(names)], int(cores%4)+1
+		// Uncached: the graph cache would keep every fuzzed seed's graph.
+		g := buildGraph(sc.GraphVertices, sc.GraphAvgDegree, seed)
+		for c := 0; c < n; c++ {
+			gen := newGraphGen(name, graphKernels[name], g, c, n, seed+uint64(c))
+			oracle := newRefGen(newGraphGen(name, nil, g, c, n, seed+uint64(c)))
+			for i := 0; i < int(skip); i++ {
+				oracle.next()
+			}
+			want := make([]Access, 1024)
+			for i := range want {
+				want[i] = oracle.next()
+			}
+			for i := 0; i < int(skip); i++ {
+				gen.Next()
+			}
+			matchReference(t, gen, want, fmt.Sprintf("%s, %d cores, seed %#x, core %d, %d skipped", name, n, seed, c, skip))
+		}
+	})
+}
+
+// TestGraphGenNextAllocs: the core-0 pageRank generator of a 2^17-vertex
+// graph starts at its hub, and pulling the hub's references and as many
+// more allocates nothing and leaves the buffer at its built capacity.
+func TestGraphGenNextAllocs(t *testing.T) {
+	sc := TestScale()
+	sc.GraphVertices = 1 << 17
+	gens, err := NewSet("pageRank", 4, 1, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := gens[0].(*graphGen)
+	hub := gen.g.degree(gen.cursor)
+	if hub < 16*edgeChunk {
+		t.Fatalf("core 0 starts at a vertex of %d edges, want a hub of at least %d", hub, 16*edgeChunk)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	capOK := true
+	for i := 0; i < 2*(2*hub+3); i++ {
+		gen.Next()
+		capOK = capOK && cap(gen.buf) == chunkRefs
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("Next allocated %d times over the hub's references", n)
+	}
+	if !capOK {
+		t.Errorf("buffer capacity left %d", chunkRefs)
+	}
+}
+
+// bfsOrderReference is the queue-based BFS computeBFS replaced: a queue
+// separate from the visit order.
+func bfsOrderReference(g *graph) []uint32 {
+	order := make([]uint32, 0, g.v)
+	seen := make([]bool, g.v)
+	queue := make([]uint32, 0, g.v)
+	for root := 0; root < g.v; root++ {
+		if seen[root] {
+			continue
+		}
+		seen[root] = true
+		queue = append(queue[:0], uint32(root))
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			order = append(order, v)
+			for i := g.rowPtr[v]; i < g.rowPtr[v+1]; i++ {
+				u := g.adj[i]
+				if !seen[u] {
+					seen[u] = true
+					queue = append(queue, u)
+				}
+			}
+		}
+	}
+	return order
+}
+
+// TestBFSOrderMatchesQueue pins computeBFS to the queue-based reference on
+// graphs of 1 to 2^14 vertices, sparse ones with many restarts among them.
+func TestBFSOrderMatchesQueue(t *testing.T) {
+	for _, sh := range []struct{ levels, degree int }{{0, 1}, {1, 1}, {5, 1}, {8, 2}, {10, 8}, {12, 8}, {14, 4}} {
+		for _, seed := range []uint64{0, 1, 7, ^uint64(0)} {
+			g := buildGraph(1<<sh.levels, sh.degree, seed)
+			if !slices.Equal(g.orderBFS(), bfsOrderReference(g)) {
+				t.Errorf("2^%d vertices, degree %d, seed %#x: BFS order differs from the queue-based one", sh.levels, sh.degree, seed)
+			}
+		}
 	}
 }

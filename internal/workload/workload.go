@@ -17,11 +17,12 @@ import (
 )
 
 // Access is one memory reference preceded by NonMem non-memory
-// instructions (the core model retires those at issue width).
+// instructions (the core model retires those at issue width). The two
+// flags sit last so the struct packs into 24 bytes.
 type Access struct {
 	Addr   uint64
-	Write  bool
 	NonMem int
+	Write  bool
 	// Dep marks a dependent access (pointer chase): the core may not
 	// issue it until its previous memory access completed. This is what
 	// makes canneal/mcf/omnetpp latency-sensitive rather than merely

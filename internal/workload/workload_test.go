@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNamesComplete(t *testing.T) {
@@ -17,6 +18,14 @@ func TestNamesComplete(t *testing.T) {
 	}
 	if !IsPrimary("canneal") || IsPrimary("blackscholes") {
 		t.Fatal("IsPrimary misclassifies")
+	}
+}
+
+// TestAccessPacked pins Access at 24 bytes: a replayed trace holds every
+// reference as one, so the two flags must stay after the two words.
+func TestAccessPacked(t *testing.T) {
+	if n := unsafe.Sizeof(Access{}); n != 24 {
+		t.Fatalf("Access is %d bytes, want 24", n)
 	}
 }
 
