@@ -11,8 +11,7 @@ package emccsim
 // EXPERIMENTS.md.
 
 import (
-	"strconv"
-	"strings"
+	"sort"
 	"sync"
 	"testing"
 
@@ -43,20 +42,9 @@ func sharedHarness() *figures.Harness {
 	return harness
 }
 
-// meanPct extracts a percentage cell from a table's "mean" row.
-func meanPct(t *figures.Table, col int) float64 {
-	for _, r := range t.Rows {
-		if r[0] == "mean" && col < len(r) {
-			v, err := strconv.ParseFloat(strings.TrimSuffix(r[col], "%"), 64)
-			if err == nil {
-				return v
-			}
-		}
-	}
-	return 0
-}
-
-func benchFigure(b *testing.B, id string, metric string, col int) {
+// benchFigure regenerates one figure and reports the paper claims its
+// table records, one metric per claim key, beside its row count.
+func benchFigure(b *testing.B, id string) {
 	h := sharedHarness()
 	var tab *figures.Table
 	for i := 0; i < b.N; i++ {
@@ -69,53 +57,46 @@ func benchFigure(b *testing.B, id string, metric string, col int) {
 	if tab == nil || len(tab.Rows) == 0 {
 		b.Fatalf("%s produced no rows", id)
 	}
-	if metric != "" {
-		b.ReportMetric(meanPct(tab, col), metric)
+	keys := make([]string, 0, len(tab.Claims))
+	for k := range tab.Claims {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		b.ReportMetric(tab.Claims[k], k)
 	}
 	b.ReportMetric(float64(len(tab.Rows)), "rows")
 }
 
 // ---- One benchmark per table/figure ----
 
-func BenchmarkTable1Config(b *testing.B)                { benchFigure(b, "table1", "", 0) }
-func BenchmarkFig02TrafficOverhead(b *testing.B)        { benchFigure(b, "fig2", "mean-with-llc-%", 6) }
-func BenchmarkFig03LLCLatencyDistribution(b *testing.B) { benchFigure(b, "fig3", "", 0) }
-func BenchmarkFig04NoCRoute(b *testing.B)               { benchFigure(b, "fig4", "", 0) }
-func BenchmarkFig05TimelineCounterMiss(b *testing.B)    { benchFigure(b, "fig5", "", 0) }
-func BenchmarkFig06CounterHitMiss2MB(b *testing.B)      { benchFigure(b, "fig6", "mean-llc-miss-%", 3) }
-func BenchmarkFig07CounterHitMiss12MB(b *testing.B)     { benchFigure(b, "fig7", "mean-llc-miss-%", 3) }
-func BenchmarkFig08TimelineCounterHit(b *testing.B)     { benchFigure(b, "fig8", "", 0) }
-func BenchmarkFig10TimelineEMCCMiss(b *testing.B)       { benchFigure(b, "fig10", "", 0) }
-func BenchmarkFig11UselessCounterAccesses(b *testing.B) {
-	benchFigure(b, "fig11", "mean-useless-%", 1)
-}
-func BenchmarkFig12TotalCounterAccesses(b *testing.B)  { benchFigure(b, "fig12", "mean-emcc-%", 2) }
-func BenchmarkFig13TimelineCounterHitLLC(b *testing.B) { benchFigure(b, "fig13", "", 0) }
-func BenchmarkFig14TimelineXPT(b *testing.B)           { benchFigure(b, "fig14", "", 0) }
-func BenchmarkFig15BandwidthBreakdown(b *testing.B)    { benchFigure(b, "fig15", "", 0) }
-func BenchmarkFig16Performance(b *testing.B) {
-	benchFigure(b, "fig16", "mean-emcc-gain-%", 4)
-}
-func BenchmarkFig17L2MissLatency(b *testing.B) { benchFigure(b, "fig17", "", 0) }
-func BenchmarkFig18AESLatencySensitivity(b *testing.B) {
-	benchFigure(b, "fig18", "mean-gain-at-25ns-%", 3)
-}
-func BenchmarkFig19AESBandwidthSensitivity(b *testing.B) {
-	benchFigure(b, "fig19", "mean-at-l2-at-50pct-%", 3)
-}
-func BenchmarkFig20CounterCacheSensitivity(b *testing.B) {
-	benchFigure(b, "fig20", "mean-gain-at-512k-%", 3)
-}
-func BenchmarkFig21ChannelSensitivity(b *testing.B) {
-	benchFigure(b, "fig21", "mean-gain-8ch-%", 2)
-}
-func BenchmarkFig22QueuingDelay(b *testing.B)   { benchFigure(b, "fig22", "", 0) }
-func BenchmarkFig23Invalidations(b *testing.B)  { benchFigure(b, "fig23", "mean-inval-%", 1) }
-func BenchmarkFig24UselessRegular(b *testing.B) { benchFigure(b, "fig24", "mean-useless-%", 1) }
+func BenchmarkTable1Config(b *testing.B)                 { benchFigure(b, "table1") }
+func BenchmarkFig02TrafficOverhead(b *testing.B)         { benchFigure(b, "fig2") }
+func BenchmarkFig03LLCLatencyDistribution(b *testing.B)  { benchFigure(b, "fig3") }
+func BenchmarkFig04NoCRoute(b *testing.B)                { benchFigure(b, "fig4") }
+func BenchmarkFig05TimelineCounterMiss(b *testing.B)     { benchFigure(b, "fig5") }
+func BenchmarkFig06CounterHitMiss2MB(b *testing.B)       { benchFigure(b, "fig6") }
+func BenchmarkFig07CounterHitMiss12MB(b *testing.B)      { benchFigure(b, "fig7") }
+func BenchmarkFig08TimelineCounterHit(b *testing.B)      { benchFigure(b, "fig8") }
+func BenchmarkFig10TimelineEMCCMiss(b *testing.B)        { benchFigure(b, "fig10") }
+func BenchmarkFig11UselessCounterAccesses(b *testing.B)  { benchFigure(b, "fig11") }
+func BenchmarkFig12TotalCounterAccesses(b *testing.B)    { benchFigure(b, "fig12") }
+func BenchmarkFig13TimelineCounterHitLLC(b *testing.B)   { benchFigure(b, "fig13") }
+func BenchmarkFig14TimelineXPT(b *testing.B)             { benchFigure(b, "fig14") }
+func BenchmarkFig15BandwidthBreakdown(b *testing.B)      { benchFigure(b, "fig15") }
+func BenchmarkFig16Performance(b *testing.B)             { benchFigure(b, "fig16") }
+func BenchmarkFig17L2MissLatency(b *testing.B)           { benchFigure(b, "fig17") }
+func BenchmarkFig18AESLatencySensitivity(b *testing.B)   { benchFigure(b, "fig18") }
+func BenchmarkFig19AESBandwidthSensitivity(b *testing.B) { benchFigure(b, "fig19") }
+func BenchmarkFig20CounterCacheSensitivity(b *testing.B) { benchFigure(b, "fig20") }
+func BenchmarkFig21ChannelSensitivity(b *testing.B)      { benchFigure(b, "fig21") }
+func BenchmarkFig22QueuingDelay(b *testing.B)            { benchFigure(b, "fig22") }
+func BenchmarkFig23Invalidations(b *testing.B)           { benchFigure(b, "fig23") }
+func BenchmarkFig24UselessRegular(b *testing.B)          { benchFigure(b, "fig24") }
 
 // BenchmarkAblations regenerates the design-choice ablation table (AES
 // gating, adaptive offload, dynamic EMCC-off).
-func BenchmarkAblations(b *testing.B) { benchFigure(b, "ablation", "", 0) }
+func BenchmarkAblations(b *testing.B) { benchFigure(b, "ablation") }
 
 // ---- Micro-benchmarks of the substrates ----
 

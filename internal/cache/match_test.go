@@ -230,7 +230,6 @@ func stampOrder(t *testing.T, r *refCache, s uint64) []int {
 func (m *matcher) run(ops []op) {
 	m.t.Helper()
 	rec := inv.NewRecorder()
-	rec.Enable(true)
 	m.c.SetRecorder(rec)
 	for i, o := range ops {
 		m.apply(i, o)

@@ -12,7 +12,7 @@
 //     machine up, more DRAM channels can't add queuing delay, EMCC can't
 //     lose its own analytic timelines);
 //   - invariant checks read the same fsim and tsim runs, each made with
-//     its own internal/inv recorder enabled, and require zero recorded
+//     its own internal/inv recorder, and require zero recorded
 //     violations plus post-run conservation between requested and
 //     performed DRAM fills.
 //
@@ -33,6 +33,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/config"
+	"repro/internal/noc"
 	"repro/internal/workload"
 )
 
@@ -75,7 +77,9 @@ type Options struct {
 	// Benchmark is the synthetic workload every simulated run draws its
 	// references from.
 	Benchmark string
-	// Cores is the simulated core count (cache pressure scales with it).
+	// Cores is the simulated core count (cache pressure scales with it),
+	// at most the mesh's core tiles. The differential tolerances and the
+	// exposed-decrypt claim are sized at 2 and 4 cores (DESIGN §7).
 	Cores int
 	// Quick halves the reference budget (cmd/check -quick).
 	Quick bool
@@ -111,13 +115,18 @@ func (o Options) withDefaults() Options {
 }
 
 // validate reports why defaulted options cannot drive a Run: every run
-// draws a known benchmark's references, and every core needs at least one.
+// draws a known benchmark's references, every core needs at least one,
+// and every core needs a tile of its own on the default mesh.
 func (o Options) validate() error {
 	if o.Cores <= 0 {
 		return fmt.Errorf("check: cores must be positive, got %d", o.Cores)
 	}
 	if o.Refs < int64(o.Cores) {
 		return fmt.Errorf("check: %d references leave some of %d cores none", o.Refs, o.Cores)
+	}
+	cfg := config.Default()
+	if tiles := noc.New(cfg.MeshCols, cfg.MeshRows, cfg.NoCHopLatency, cfg.NoCBaseOneWay).CoreTiles(); o.Cores > tiles {
+		return fmt.Errorf("check: %d cores, but the mesh has %d core tiles", o.Cores, tiles)
 	}
 	_, err := workload.SpaceBytes(o.Benchmark, o.Cores, workload.TestScale())
 	return err

@@ -161,9 +161,10 @@ func TestRunAggregates(t *testing.T) {
 }
 
 // TestRunRejectsBadOptions: options no simulation can run — an unknown
-// benchmark, a negative core count, fewer references than cores, also
-// once -quick has halved the budget — give exactly one failing result,
-// naming the fault, and run nothing.
+// benchmark, a negative core count, more cores than the mesh has core
+// tiles, fewer references than cores, also once -quick has halved the
+// budget — give exactly one failing result, naming the fault, and run
+// nothing.
 func TestRunRejectsBadOptions(t *testing.T) {
 	for _, c := range []struct {
 		opt  Options
@@ -171,6 +172,7 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	}{
 		{Options{Benchmark: "no-such-benchmark"}, `unknown benchmark "no-such-benchmark"`},
 		{Options{Cores: -1}, "cores must be positive, got -1"},
+		{Options{Cores: 40}, "40 cores, but the mesh has 28 core tiles"},
 		{Options{Refs: 3, Cores: 4}, "3 references leave some of 4 cores none"},
 		{Options{Refs: 3, Quick: true}, "1 references leave some of 2 cores none"},
 	} {

@@ -27,7 +27,7 @@ func invariantUnits(m *simMemo) []func() []Result {
 }
 
 // invariantRun reads m's fsim and tsim runs under cfg, each made under its
-// own freshly enabled invariant recorder, and reports violations plus
+// own fresh invariant recorder, and reports violations plus
 // conservation results.
 func invariantRun(system string, cfg config.Config, m *simMemo) []Result {
 	name := func(rule string) string { return system + "/" + rule }

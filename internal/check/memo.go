@@ -21,7 +21,7 @@ import (
 // all of them. channelQueueing's heavier load has a memo of its own,
 // channels, which Run fills first.
 //
-// Every entry runs under its own enabled inv.Recorder, which the
+// Every entry runs under its own inv.Recorder, which the
 // invariant units read; a recorder only observes, so the entry's
 // statistics equal a recorder-free run's. Traced runs and runs with a
 // warm-up build their simulators outright. A memo lives for one Run.
@@ -54,7 +54,7 @@ type memoKey struct {
 type memoRun struct {
 	once     sync.Once
 	requests int           // guarded by simMemo.mu
-	rec      *inv.Recorder // the run's own, enabled recorder
+	rec      *inv.Recorder // the run's own recorder
 	res      tsim.Result   // zero for fsim runs
 	st       *stats.Set
 	snap     []byte // st's StableJSON snapshot
@@ -92,7 +92,6 @@ func (m *simMemo) get(k memoKey) (*memoRun, error) {
 	r.once.Do(func() {
 		m.sims.Add(1)
 		r.rec = inv.NewRecorder()
-		r.rec.Enable(true)
 		r.res, r.st, r.err = simulate(k.functional, &k.cfg, m.opt, r.rec)
 		if r.err == nil {
 			r.snap, r.err = r.st.Snapshot().StableJSON()

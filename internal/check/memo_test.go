@@ -14,7 +14,7 @@ import (
 // TestMemoMatchesFreshRuns pins the memo's contract from outside: every
 // run a Run's units shared — the channel runs included — must equal, byte
 // for byte, a fresh simulation of its config with no recorder attached.
-// The memo's runs each carry an enabled inv.Recorder, so a recorder check
+// The memo's runs each carry an inv.Recorder, so a recorder check
 // that touched simulator state would show here.
 func TestMemoMatchesFreshRuns(t *testing.T) {
 	rs, m := run(Options{Refs: 4_000, Parallel: 2})

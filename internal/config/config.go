@@ -112,7 +112,6 @@ type Config struct {
 	// mean NoC round trip (~13 ns) + tag + data.
 	L3TagLatency  sim.Time
 	L3DataLatency sim.Time
-	BlockSize     int64 // 64 B everywhere
 
 	// --- NoC (Sec. III-A geometry; calibrated to Fig 3) ---
 	MeshCols      int      // 6
@@ -121,12 +120,11 @@ type Config struct {
 	NoCBaseOneWay sim.Time // injection/ejection fixed cost per traversal
 
 	// --- Secure memory engine ---
-	Counter          CounterDesign
-	CtrCacheBytes    int64    // MC's private counter/metadata cache (128 KB)
-	CtrCacheWays     int      // 32-way
-	CtrCacheLatency  sim.Time // 3 ns
-	CtrDecodeLatency sim.Time // Morphable decode, 3 ns
-	AESLatency       sim.Time // 14 ns (AES-128)
+	Counter         CounterDesign
+	CtrCacheBytes   int64    // MC's private counter/metadata cache (128 KB)
+	CtrCacheWays    int      // 32-way
+	CtrCacheLatency sim.Time // 3 ns
+	AESLatency      sim.Time // 14 ns (AES-128)
 	// AESPeakOpsPerSec is the total AES bandwidth provisioned for the
 	// whole processor (Sec. V arithmetic: 2.6e9 ops/s at DDR4-3200).
 	AESPeakOpsPerSec float64
@@ -164,11 +162,12 @@ type Config struct {
 	// EMCCDisableOffload removes the adaptive offload decision
 	// (ablation: L2 AES queues grow unboundedly under miss bursts).
 	EMCCDisableOffload bool
-	// XPT enables LLC-miss prediction (Intel XPT-style): L2 misses are
-	// forwarded to the MC in parallel with the LLC lookup. The paper's
-	// primary timelines (Figs 5, 8, 10, 13) route requests through the
-	// LLC serially; XPT appears in the Fig 14 scenario only, so it
-	// defaults to off here and is enabled for that experiment.
+	// XPT enables LLC-miss prediction (Intel XPT-style) in the timing
+	// simulator: L2 misses are forwarded to the MC in parallel with the
+	// LLC lookup. The paper's primary timelines (Figs 5, 8, 10, 13) route
+	// requests through the LLC serially, and Fig 14's XPT timeline is
+	// analytic (internal/figures), so no figure turns it on; it is off by
+	// default, and `emccsim -xpt` and tests enable it.
 	XPT bool
 
 	// --- Prefetch (Table I: constant-stride, L1 degree 1, L2 degree 2) ---
@@ -195,7 +194,6 @@ type Config struct {
 	WriteDrainLow   float64  // stop draining below this fill
 	FRFCFSCap       int      // max consecutive row hits before oldest-first
 	RowBytes        int64    // DRAM row (page) size per bank
-	MemoryBytes     int64    // simulated physical data capacity
 	OverflowMaxLive int      // <=2 outstanding split-counter overflows
 	OverflowSlots   int      // <=8 read/write-queue slots for overflow work
 }
@@ -221,7 +219,6 @@ func Default() Config {
 		L3Ways:        16,
 		L3TagLatency:  sim.NS(2),
 		L3DataLatency: sim.NS(2),
-		BlockSize:     64,
 
 		MeshCols:      6,
 		MeshRows:      5,
@@ -232,7 +229,6 @@ func Default() Config {
 		CtrCacheBytes:    128 << 10,
 		CtrCacheWays:     32,
 		CtrCacheLatency:  sim.NS(3),
-		CtrDecodeLatency: sim.NS(3),
 		AESLatency:       sim.NS(14),
 		AESPeakOpsPerSec: 2.6e9,
 		CountersInLLC:    true,
@@ -264,7 +260,6 @@ func Default() Config {
 		WriteDrainLow:   0.3,
 		FRFCFSCap:       16,
 		RowBytes:        8 << 10,
-		MemoryBytes:     128 << 30,
 		OverflowMaxLive: 2,
 		OverflowSlots:   8,
 	}
@@ -278,8 +273,6 @@ func (c *Config) Validate() error {
 	switch {
 	case c.Cores <= 0:
 		return fmt.Errorf("config: Cores must be positive, got %d", c.Cores)
-	case c.BlockSize <= 0 || c.BlockSize&(c.BlockSize-1) != 0:
-		return fmt.Errorf("config: BlockSize must be a power of two, got %d", c.BlockSize)
 	case c.Channels <= 0 || c.Channels&(c.Channels-1) != 0:
 		return fmt.Errorf("config: Channels must be a positive power of two, got %d", c.Channels)
 	case c.EMCC && !c.CountersInLLC:
@@ -294,8 +287,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: CtrInSRAM needs InSRAMBanks > 0, got %d", c.InSRAMBanks)
 	case c.EMCCAESFraction < 0 || c.EMCCAESFraction > 1:
 		return fmt.Errorf("config: EMCCAESFraction must be in [0,1], got %g", c.EMCCAESFraction)
-	case c.MemoryBytes <= 0:
-		return fmt.Errorf("config: MemoryBytes must be positive")
 	case c.MeshCols < 2 || c.MeshRows < 2:
 		return fmt.Errorf("config: mesh must be at least 2x2, got %dx%d", c.MeshCols, c.MeshRows)
 	}
@@ -330,7 +321,7 @@ func (c *Config) validateCacheGeometry() error {
 
 // In-SRAM AES geometry (CtrInSRAM). One AES array handles a 16 B lane per
 // pass; a pass is the full 10-round AES-128 schedule at insramRoundNS per
-// round. A 64 B block therefore splits into BlockSize/16 lanes that
+// round. A 64 B block therefore splits into addr.BlockBytes/16 lanes that
 // InSRAMBanks arrays process in ceil(lanes/banks) waves — latency falls
 // with bank count until one wave covers the whole block, and aggregate
 // bandwidth grows linearly with the provisioned arrays.
@@ -342,10 +333,7 @@ const (
 // InSRAMAESLatency derives the per-block cipher latency from the SRAM
 // geometry. It replaces the fixed AESLatency unit under CtrInSRAM.
 func InSRAMAESLatency(c *Config) sim.Time {
-	lanes := int(c.BlockSize / 16)
-	if lanes < 1 {
-		lanes = 1
-	}
+	const lanes = addr.BlockBytes / 16
 	waves := (lanes + c.InSRAMBanks - 1) / c.InSRAMBanks
 	return sim.Time(waves) * insramRounds * insramRoundNS * sim.Nanosecond
 }

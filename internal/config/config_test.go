@@ -27,7 +27,6 @@ func TestDefaultMatchesTableI(t *testing.T) {
 		{"128 KB counter cache", c.CtrCacheBytes == 128<<10},
 		{"32-way counter cache", c.CtrCacheWays == 32},
 		{"3 ns counter cache", c.CtrCacheLatency == sim.NS(3)},
-		{"3 ns morphable decode", c.CtrDecodeLatency == sim.NS(3)},
 		{"14 ns AES", c.AESLatency == sim.NS(14)},
 		{"morphable default", c.Counter == CtrMorphable},
 		{"counters in LLC", c.CountersInLLC},
@@ -36,7 +35,6 @@ func TestDefaultMatchesTableI(t *testing.T) {
 		{"13.75 ns tCL", c.TCL == sim.NS(13.75)},
 		{"350 ns tRFC", c.TRFC == sim.NS(350)},
 		{"256-entry queues", c.ReadQueueCap == 256 && c.WriteQueueCap == 256},
-		{"128 GB memory", c.MemoryBytes == 128<<30},
 		{"<=2 overflows", c.OverflowMaxLive == 2},
 		{"<=8 overflow slots", c.OverflowSlots == 8},
 		{"32 KB EMCC counter cap", c.EMCCL2CounterBytes == 32<<10},
@@ -62,13 +60,11 @@ func TestCoreCycle(t *testing.T) {
 func TestValidateCatchesBadConfigs(t *testing.T) {
 	cases := []func(*Config){
 		func(c *Config) { c.Cores = 0 },
-		func(c *Config) { c.BlockSize = 48 },
 		func(c *Config) { c.L2Bytes = 0 },
 		func(c *Config) { c.Channels = 3 },
 		func(c *Config) { c.EMCC = true; c.CountersInLLC = false },
 		func(c *Config) { c.EMCC = true; c.Counter = CtrNone },
 		func(c *Config) { c.EMCCAESFraction = 1.5 },
-		func(c *Config) { c.MemoryBytes = 0 },
 		// Counter-free designs have no counter blocks for the LLC to cache.
 		func(c *Config) { c.Counter = CtrBipBip },
 		func(c *Config) { c.Counter = CtrInSRAM },
@@ -202,7 +198,7 @@ func TestApplySystemNewModes(t *testing.T) {
 }
 
 func TestInSRAMAESLatencyGeometry(t *testing.T) {
-	// One 64 B block is BlockSize/16 = 4 AES lanes; B banks process them
+	// One 64 B block is 64/16 = 4 AES lanes; B banks process them
 	// in ceil(4/B) waves of 10 rounds x 2 ns.
 	want := map[int]sim.Time{
 		1:  sim.NS(80), // 4 waves

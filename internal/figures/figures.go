@@ -20,6 +20,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 
@@ -39,6 +40,27 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	// Claims holds the numbers that answer the paper's quantitative claims
+	// about this figure, keyed by internal/paper's Expectation.Claim. Each
+	// is the number the table prints (or, for a difference, computed from
+	// the printed numbers), so cmd/report grades what a reader sees.
+	Claims map[string]float64
+}
+
+// claim records the number answering one paper claim.
+func (t *Table) claim(key string, v float64) {
+	if t.Claims == nil {
+		t.Claims = make(map[string]float64)
+	}
+	t.Claims[key] = v
+}
+
+// printed is x as a cell or note shows it: pct and ns print one decimal
+// ("%.1f", which rounds x's exact binary value), so a claim made from it
+// equals the number on the page.
+func printed(x float64) float64 {
+	v, _ := strconv.ParseFloat(strconv.FormatFloat(x, 'f', 1, 64), 64)
+	return v
 }
 
 // Fprint renders the table.
@@ -265,6 +287,15 @@ func ratio(n, d int64) float64 {
 	return float64(n) / float64(d)
 }
 
+// meanRow is a table's "mean" row: one percentage per column.
+func meanRow(means []float64) []string {
+	row := []string{"mean"}
+	for _, m := range means {
+		row = append(row, pct(m))
+	}
+	return row
+}
+
 // ---- Counting figures (functional simulator) ----
 
 // Fig2 reports DRAM traffic overhead with and without caching counters in
@@ -295,7 +326,10 @@ func (h *Harness) Fig2() *Table {
 		meanW = append(meanW, totals[1])
 		t.Rows = append(t.Rows, row)
 	}
-	t.Rows = append(t.Rows, []string{"mean", "", "", pct(stats.Mean(meanWo)), "", "", pct(stats.Mean(meanW))})
+	wo, w := stats.Mean(meanWo), stats.Mean(meanW)
+	t.Rows = append(t.Rows, []string{"mean", "", "", pct(wo), "", "", pct(w)})
+	t.claim("mean-total-wo", printed(100*wo))
+	t.claim("mean-total-w", printed(100*w))
 	return t
 }
 
@@ -316,7 +350,10 @@ func (h *Harness) counterMix(id, title string, llcBytes int64) *Table {
 		mcs, hits, misses = append(mcs, mc), append(hits, hit), append(misses, miss)
 		t.Rows = append(t.Rows, []string{b, pct(mc), pct(hit), pct(miss)})
 	}
-	t.Rows = append(t.Rows, []string{"mean", pct(stats.Mean(mcs)), pct(stats.Mean(hits)), pct(stats.Mean(misses))})
+	mc, miss := stats.Mean(mcs), stats.Mean(misses)
+	t.Rows = append(t.Rows, []string{"mean", pct(mc), pct(stats.Mean(hits)), pct(miss)})
+	t.claim("mean-mc-hit", printed(100*mc))
+	t.claim("mean-llc-miss", printed(100*miss))
 	return t
 }
 
@@ -349,7 +386,9 @@ func (h *Harness) Fig11() *Table {
 		vals = append(vals, v)
 		t.Rows = append(t.Rows, []string{b, pct(v)})
 	}
-	t.Rows = append(t.Rows, []string{"mean", pct(stats.Mean(vals))})
+	mean := stats.Mean(vals)
+	t.Rows = append(t.Rows, []string{"mean", pct(mean)})
+	t.claim("mean-useless", printed(100*mean))
 	return t
 }
 
@@ -371,7 +410,9 @@ func (h *Harness) Fig12() *Table {
 		base, em = append(base, bv), append(em, ev)
 		t.Rows = append(t.Rows, []string{b, pct(bv), pct(ev)})
 	}
-	t.Rows = append(t.Rows, []string{"mean", pct(stats.Mean(base)), pct(stats.Mean(em))})
+	emMean := stats.Mean(em)
+	t.Rows = append(t.Rows, []string{"mean", pct(stats.Mean(base)), pct(emMean)})
+	t.claim("mean-emcc", printed(100*emMean))
 	return t
 }
 
@@ -390,7 +431,9 @@ func (h *Harness) Fig23() *Table {
 		vals = append(vals, v)
 		t.Rows = append(t.Rows, []string{b, pct(v)})
 	}
-	t.Rows = append(t.Rows, []string{"mean", pct(stats.Mean(vals))})
+	mean := stats.Mean(vals)
+	t.Rows = append(t.Rows, []string{"mean", pct(mean)})
+	t.claim("mean-invalidated", printed(100*mean))
 	return t
 }
 
@@ -409,7 +452,9 @@ func (h *Harness) Fig24() *Table {
 		vals = append(vals, v)
 		t.Rows = append(t.Rows, []string{b, pct(v)})
 	}
-	t.Rows = append(t.Rows, []string{"mean", pct(stats.Mean(vals))})
+	mean := stats.Mean(vals)
+	t.Rows = append(t.Rows, []string{"mean", pct(mean)})
+	t.claim("mean-useless", printed(100*mean))
 	return t
 }
 
@@ -464,8 +509,13 @@ func (h *Harness) Fig16() *Table {
 		}
 		sc, mo, em, gain = append(sc, s), append(mo, m), append(em, e), append(gain, g)
 		t.Rows = append(t.Rows, []string{b, pct(s), pct(m), pct(e), pct(g)})
+		if b == "canneal" {
+			t.claim("canneal-gain", printed(100*g))
+		}
 	}
-	t.Rows = append(t.Rows, []string{"mean", pct(stats.Mean(sc)), pct(stats.Mean(mo)), pct(stats.Mean(em)), pct(stats.Mean(gain))})
+	mg := stats.Mean(gain)
+	t.Rows = append(t.Rows, []string{"mean", pct(stats.Mean(sc)), pct(stats.Mean(mo)), pct(stats.Mean(em)), pct(mg)})
+	t.claim("mean-gain", printed(100*mg))
 	return t
 }
 
@@ -496,11 +546,11 @@ func (h *Harness) Design5() *Table {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	mean := []string{"mean"}
-	for _, c := range cols {
-		mean = append(mean, pct(stats.Mean(c)))
+	means := make([]float64, len(cols))
+	for i, c := range cols {
+		means[i] = stats.Mean(c)
 	}
-	t.Rows = append(t.Rows, mean)
+	t.Rows = append(t.Rows, meanRow(means))
 	return t
 }
 
@@ -512,15 +562,14 @@ func (h *Harness) Fig17() *Table {
 		Header: []string{"benchmark", "non-secure", "sc64", "morphable", "emcc"},
 		Notes:  []string{"paper: EMCC saves ~5 ns mean over Morphable"},
 	}
+	var saving float64 // morphable - emcc, summed over the printed rows
 	for _, b := range primary() {
-		t.Rows = append(t.Rows, []string{
-			b,
-			ns(h.timing(b, "non-secure", "base", nil).res.L2MissLatencyNS),
-			ns(h.timing(b, "sc64", "base", nil).res.L2MissLatencyNS),
-			ns(h.timing(b, "morphable", "base", nil).res.L2MissLatencyNS),
-			ns(h.timing(b, "emcc", "base", nil).res.L2MissLatencyNS),
-		})
+		lat := func(system string) float64 { return h.timing(b, system, "base", nil).res.L2MissLatencyNS }
+		non, sc, mo, em := lat("non-secure"), lat("sc64"), lat("morphable"), lat("emcc")
+		t.Rows = append(t.Rows, []string{b, ns(non), ns(sc), ns(mo), ns(em)})
+		saving += printed(mo) - printed(em)
 	}
+	t.claim("mean-saving", saving/float64(len(primary())))
 	return t
 }
 
@@ -550,11 +599,8 @@ func (h *Harness) Fig18() *Table {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	mrow := []string{"mean"}
-	for _, m := range means {
-		mrow = append(mrow, pct(m))
-	}
-	t.Rows = append(t.Rows, mrow)
+	t.Rows = append(t.Rows, meanRow(means))
+	t.claim("mean-gain-25ns", printed(100*means[2]))
 	return t
 }
 
@@ -580,11 +626,8 @@ func (h *Harness) Fig19() *Table {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	mrow := []string{"mean"}
-	for _, m := range means {
-		mrow = append(mrow, pct(m))
-	}
-	t.Rows = append(t.Rows, mrow)
+	t.Rows = append(t.Rows, meanRow(means))
+	t.claim("mean-at-l2-50pct", printed(100*means[2]))
 	return t
 }
 
@@ -612,11 +655,9 @@ func (h *Harness) Fig20() *Table {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	mrow := []string{"mean"}
-	for _, m := range means {
-		mrow = append(mrow, pct(m))
-	}
-	t.Rows = append(t.Rows, mrow)
+	t.Rows = append(t.Rows, meanRow(means))
+	// Positive when the benefit falls from 128 KB to 512 KB.
+	t.claim("gain-drop-128k-512k", printed(100*means[0])-printed(100*means[2]))
 	return t
 }
 
@@ -639,7 +680,10 @@ func (h *Harness) Fig21() *Table {
 		m1, m8 = append(m1, g1), append(m8, g8)
 		t.Rows = append(t.Rows, []string{b, pct(g1), pct(g8)})
 	}
-	t.Rows = append(t.Rows, []string{"mean", pct(stats.Mean(m1)), pct(stats.Mean(m8))})
+	g1, g8 := stats.Mean(m1), stats.Mean(m8)
+	t.Rows = append(t.Rows, []string{"mean", pct(g1), pct(g8)})
+	// Positive when the benefit grows from 1 to 8 channels.
+	t.claim("gain-rise-8ch", printed(100*g8)-printed(100*g1))
 	return t
 }
 
@@ -663,11 +707,15 @@ func (h *Harness) Fig22() *Table {
 			cw = append(cw, r.st.AccumMean(stats.DramQDelayCtrWrite))
 			dw = append(dw, r.st.AccumMean(stats.DramQDelayDataWrite))
 		}
+		read, write := stats.GeoMean(dr), stats.GeoMean(dw)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", chn),
-			ns(stats.GeoMean(cr)), ns(stats.GeoMean(dr)),
-			ns(stats.GeoMean(cw)), ns(stats.GeoMean(dw)),
+			ns(stats.GeoMean(cr)), ns(read),
+			ns(stats.GeoMean(cw)), ns(write),
 		})
+		if chn == 1 {
+			t.claim("write-minus-read-1ch", printed(write)-printed(read))
+		}
 	}
 	return t
 }

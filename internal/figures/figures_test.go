@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/paper"
 	"repro/internal/run"
 	"repro/internal/workload"
 )
@@ -61,33 +62,17 @@ func TestIDsCoverEveryEvaluationFigure(t *testing.T) {
 // TestFig5OverheadMatchesPaper: the analytic timeline must reproduce the
 // 19 ns Direct-LLC-Latency overhead the paper derives.
 func TestFig5OverheadMatchesPaper(t *testing.T) {
-	h := NewHarness(true)
-	tab := h.Fig5()
-	found := false
-	for _, n := range tab.Notes {
-		if strings.Contains(n, "overhead of caching counters in LLC") {
-			found = true
-			if !strings.Contains(n, "19.0 ns") {
-				t.Fatalf("overhead drifted: %s", n)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("fig5 lacks its overhead note")
+	tab := NewHarness(true).Fig5()
+	if v, ok := tab.Claims["llc-overhead"]; !ok || v != 19 {
+		t.Fatalf("overhead = %v (recorded %v), want 19.0 ns; notes %v", v, ok, tab.Notes)
 	}
 }
 
 // TestFig3MeanNear23 checks the NoC calibration end to end.
 func TestFig3MeanNear23(t *testing.T) {
-	h := NewHarness(true)
-	tab := h.Fig3()
-	last := tab.Rows[len(tab.Rows)-1]
-	if last[0] != "mean" {
-		t.Fatal("fig3 missing mean row")
-	}
-	mean, err := strconv.ParseFloat(strings.Fields(last[1])[0], 64)
-	if err != nil {
-		t.Fatalf("cannot parse mean %q: %v", last[1], err)
+	mean, ok := NewHarness(true).Fig3().Claims["mean-hit-latency"]
+	if !ok {
+		t.Fatal("fig3 records no mean")
 	}
 	if mean < 21 || mean > 25 {
 		t.Fatalf("LLC hit mean = %v ns, want ~23", mean)
@@ -100,13 +85,7 @@ func TestTimelineFiguresFavourEMCC(t *testing.T) {
 	h := NewHarness(true)
 	for _, id := range []string{"fig10", "fig13", "fig14"} {
 		tab, _ := h.ByID(id)
-		ok := false
-		for _, n := range tab.Notes {
-			if strings.Contains(n, "EMCC responds") && !strings.Contains(n, "-") {
-				ok = true
-			}
-		}
-		if !ok {
+		if v, ok := tab.Claims["emcc-earlier"]; !ok || v <= 0 {
 			t.Fatalf("%s does not show an EMCC win: %v", id, tab.Notes)
 		}
 	}
@@ -230,6 +209,118 @@ func TestByIDAndIDsAgree(t *testing.T) {
 	for _, s := range specs {
 		if !seen[s.id] {
 			t.Errorf("spec %q not enumerated by IDs()", s.id)
+		}
+	}
+}
+
+// printedNumber parses the number a printed cell or note starts with
+// ("3.5%", "23.0 ns", "16.0 ns earlier"); where names it in a failure.
+func printedNumber(t *testing.T, tab *Table, where, s string) float64 {
+	t.Helper()
+	f := strings.Fields(s)
+	if len(f) == 0 {
+		t.Fatalf("%s: nothing printed at %s", tab.ID, where)
+	}
+	v, err := strconv.ParseFloat(strings.TrimSuffix(f[0], "%"), 64)
+	if err != nil {
+		t.Fatalf("%s: no number at %s: %v", tab.ID, where, err)
+	}
+	return v
+}
+
+// cellValue reads the number in row label's cell under column header.
+func cellValue(t *testing.T, tab *Table, label, header string) float64 {
+	t.Helper()
+	where := label + " / " + header
+	for col, h := range tab.Header {
+		for _, r := range tab.Rows {
+			if h == header && r[0] == label {
+				return printedNumber(t, tab, where, r[col])
+			}
+		}
+	}
+	return printedNumber(t, tab, where, "")
+}
+
+// noteValue reads the number that follows prefix in one of tab's notes.
+func noteValue(t *testing.T, tab *Table, prefix string) float64 {
+	t.Helper()
+	for _, n := range tab.Notes {
+		if rest, ok := strings.CutPrefix(n, prefix); ok {
+			return printedNumber(t, tab, prefix, rest)
+		}
+	}
+	return printedNumber(t, tab, prefix, "")
+}
+
+// TestClaimsMatchPrintedValues: every paper expectation's claim is
+// recorded by its figure's builder and equals the number its table
+// prints, or for a difference, the difference of the printed numbers;
+// so cmd/report grades exactly what a reader of the table sees.
+func TestClaimsMatchPrintedValues(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	at := func(label, header string) func(*Table) float64 {
+		return func(tab *Table) float64 { return cellValue(t, tab, label, header) }
+	}
+	note := func(prefix string) func(*Table) float64 {
+		return func(tab *Table) float64 { return noteValue(t, tab, prefix) }
+	}
+	minus := func(a, b func(*Table) float64) func(*Table) float64 {
+		return func(tab *Table) float64 { return a(tab) - b(tab) }
+	}
+	want := map[string]func(*Table) float64{
+		"fig2/mean-total-wo":         at("mean", "w/o-total"),
+		"fig2/mean-total-w":          at("mean", "w-total"),
+		"fig3/mean-hit-latency":      at("mean", "share"),
+		"fig5/llc-overhead":          note("overhead of caching counters in LLC:"),
+		"fig6/mean-mc-hit":           at("mean", "mc-hit"),
+		"fig6/mean-llc-miss":         at("mean", "llc-miss"),
+		"fig7/mean-llc-miss":         at("mean", "llc-miss"),
+		"fig8/llc-hit-overhead":      note("overhead of counter hit in LLC:"),
+		"fig10/emcc-earlier":         note("EMCC responds"),
+		"fig11/mean-useless":         at("mean", "useless"),
+		"fig12/mean-emcc":            at("mean", "emcc"),
+		"fig14/emcc-earlier":         note("EMCC responds"),
+		"fig16/mean-gain":            at("mean", "emcc-vs-morphable"),
+		"fig16/canneal-gain":         at("canneal", "emcc-vs-morphable"),
+		"fig18/mean-gain-25ns":       at("mean", "25ns"),
+		"fig19/mean-at-l2-50pct":     at("mean", "50%"),
+		"fig20/gain-drop-128k-512k":  minus(at("mean", "128KB"), at("mean", "512KB")),
+		"fig21/gain-rise-8ch":        minus(at("mean", "8-channel"), at("mean", "1-channel")),
+		"fig22/write-minus-read-1ch": minus(at("1", "data-write"), at("1", "data-read")),
+		"fig23/mean-invalidated":     at("mean", "invalidated"),
+		"fig24/mean-useless":         at("mean", "useless"),
+		"fig17/mean-saving": func(tab *Table) float64 {
+			var sum float64
+			for _, r := range tab.Rows {
+				sum += cellValue(t, tab, r[0], "morphable") - cellValue(t, tab, r[0], "emcc")
+			}
+			return sum / float64(len(tab.Rows))
+		},
+	}
+	h := microHarness()
+	h.RefsOverride = 8_000 // TestByIDAndIDsAgree's size
+	for _, e := range paper.Expectations() {
+		key := e.Figure + "/" + e.Claim
+		tab, ok := h.ByID(e.Figure)
+		if !ok {
+			t.Errorf("%s: figure does not resolve", key)
+			continue
+		}
+		got, ok := tab.Claims[e.Claim]
+		if !ok {
+			t.Errorf("%s: table records no such claim (has %v)", key, tab.Claims)
+			continue
+		}
+		read := want[key]
+		if read == nil {
+			t.Errorf("%s: no printed reading for this claim in the test", key)
+			continue
+		}
+		if w := read(tab); got != w {
+			t.Errorf("%s: claim %v, table prints %v", key, got, w)
 		}
 	}
 }

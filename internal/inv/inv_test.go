@@ -5,19 +5,20 @@ import (
 	"testing"
 )
 
+// TestDisabledByDefault: a run's recorder field starts nil, which checks
+// nothing; any recorder a run is given checks.
 func TestDisabledByDefault(t *testing.T) {
-	if NewRecorder().On() {
-		t.Fatal("new recorder on without Enable")
-	}
 	var nilRec *Recorder
 	if nilRec.On() {
 		t.Fatal("nil recorder reports checking on")
 	}
+	if !NewRecorder().On() {
+		t.Fatal("new recorder reports checking off")
+	}
 }
 
-func TestEnableRecordsAndResets(t *testing.T) {
+func TestFailfRecords(t *testing.T) {
 	r := NewRecorder()
-	r.Enable(true)
 	r.Failf("demo", "value %d out of range", 7)
 	r.Failf("demo", "second")
 	if r.Count() != 2 {
@@ -30,20 +31,10 @@ func TestEnableRecordsAndResets(t *testing.T) {
 	if got := vs[0].String(); got != "demo: value 7 out of range" {
 		t.Fatalf("String = %q", got)
 	}
-	// Re-enabling starts a clean slate.
-	r.Enable(true)
-	if r.Count() != 0 || len(r.Violations()) != 0 {
-		t.Fatal("Enable(true) did not reset")
-	}
-	r.Enable(false)
-	if r.On() {
-		t.Fatal("Enable(false) left checking on")
-	}
 }
 
 func TestRecordingCap(t *testing.T) {
 	r := NewRecorder()
-	r.Enable(true)
 	for i := 0; i < maxRecorded+10; i++ {
 		r.Failf("cap", "violation %d", i)
 	}
@@ -59,8 +50,6 @@ func TestRecordingCap(t *testing.T) {
 // failures on one are invisible to the other.
 func TestRecorderIsolation(t *testing.T) {
 	a, b := NewRecorder(), NewRecorder()
-	a.Enable(true)
-	b.Enable(true)
 	a.Failf("iso", "a only")
 	if b.Count() != 0 {
 		t.Fatalf("violation leaked: b=%d", b.Count())
@@ -74,7 +63,6 @@ func TestRecorderIsolation(t *testing.T) {
 // -race: Failf and Violations must be safe to interleave.
 func TestConcurrentFailf(t *testing.T) {
 	r := NewRecorder()
-	r.Enable(true)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -11,8 +11,8 @@ func TestExpectationsWellFormed(t *testing.T) {
 		if !strings.HasPrefix(e.Figure, "fig") {
 			t.Errorf("bad figure id %q", e.Figure)
 		}
-		if e.Metric == "" || e.Source == "" {
-			t.Errorf("%s: metric/source missing", e.Figure)
+		if e.Claim == "" || e.Metric == "" || e.Source == "" {
+			t.Errorf("%s: claim/metric/source missing", e.Figure)
 		}
 		if e.Unit != "%" && e.Unit != "ns" {
 			t.Errorf("%s: unknown unit %q", e.Figure, e.Unit)
@@ -23,11 +23,12 @@ func TestExpectationsWellFormed(t *testing.T) {
 		if e.Tolerance == 0 && e.Direction == "" {
 			t.Errorf("%s (%s): neither tolerance nor direction — unverifiable", e.Figure, e.Metric)
 		}
-		key := e.Figure + "/" + e.Metric
-		if seen[key] {
-			t.Errorf("duplicate expectation %s", key)
+		for _, key := range []string{e.Figure + "/" + e.Metric, e.Figure + "/" + e.Claim} {
+			if seen[key] {
+				t.Errorf("duplicate expectation %s", key)
+			}
+			seen[key] = true
 		}
-		seen[key] = true
 	}
 }
 
@@ -49,19 +50,5 @@ func TestHeadlineClaimsPresent(t *testing.T) {
 		if !got[f] {
 			t.Errorf("headline claim for %s missing", f)
 		}
-	}
-}
-
-func TestByFigureGroups(t *testing.T) {
-	m := ByFigure()
-	if len(m["fig16"]) != 2 {
-		t.Fatalf("fig16 expectations = %d, want 2 (mean + canneal)", len(m["fig16"]))
-	}
-	total := 0
-	for _, es := range m {
-		total += len(es)
-	}
-	if total != len(Expectations()) {
-		t.Fatal("grouping lost expectations")
 	}
 }

@@ -49,7 +49,7 @@ func TestScenarioKeyIgnoresLabel(t *testing.T) {
 	a := miniature(Functional, "canneal", nil)
 	// The key of a scenario without Replay is pinned: a change to the key
 	// derivation would orphan every result-cache entry.
-	if got, want := a.Key(), "f8198e1aaeaa53dae6c85384"; got != want {
+	if got, want := a.Key(), "1a7fe41969e7cf7817104c8a"; got != want {
 		t.Fatalf("key = %s, want %s", got, want)
 	}
 	b := a
@@ -334,7 +334,7 @@ func TestExecuteSurfacesErrors(t *testing.T) {
 	if _, _, err := Execute(p, Options{Workers: 2}); err == nil {
 		t.Fatal("unknown benchmark did not error")
 	}
-	bad := miniature(Timing, "canneal", func(c *config.Config) { c.MemoryBytes = -1 })
+	bad := miniature(Timing, "canneal", func(c *config.Config) { c.Channels = 3 })
 	p2 := NewPlan()
 	p2.Add(bad)
 	if _, _, err := Execute(p2, Options{Workers: 1}); err == nil {

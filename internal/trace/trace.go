@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 
 	"repro/internal/workload"
@@ -154,9 +155,12 @@ type Trace struct {
 }
 
 // Read loads a complete trace from r, verifying its trailer and that
-// every access lies inside the footprint, and stamps its Digest.
+// every access lies inside the footprint, and stamps its Digest. The
+// records are decoded twice: the first pass checks them and counts each
+// core's, so the second fills per-core streams allocated at their exact
+// lengths, and a stream that fails a check allocates none.
 func Read(r io.Reader) (*Trace, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
@@ -200,52 +204,11 @@ func Read(r io.Reader) (*Trace, error) {
 	if footprint > math.MaxInt64 {
 		return nil, fmt.Errorf("trace: unreasonable footprint %d", footprint)
 	}
-	tr := &Trace{
-		Name:      string(nameBuf),
-		Cores:     int(cores),
-		Footprint: int64(footprint),
-		PerCore:   make([][]workload.Access, cores),
-	}
-	last := make([]uint64, cores)
-	var n uint64
-	for {
-		if br.Len() == 0 {
-			return nil, fmt.Errorf("trace: missing trailer: stream ends after %d records", n)
-		}
-		core, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", n, err)
-		}
-		if core == cores {
-			break // the trailer's end marker
-		}
-		if core > cores {
-			return nil, fmt.Errorf("trace: record %d: core %d out of range", n, core)
-		}
-		flags, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", n, err)
-		}
-		delta, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", n, err)
-		}
-		nonMem, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", n, err)
-		}
-		addr := uint64(int64(last[core]) + delta)
-		if addr >= footprint {
-			return nil, fmt.Errorf("trace: record %d: core %d address %#x outside footprint %#x", n, core, addr, footprint)
-		}
-		last[core] = addr
-		tr.PerCore[core] = append(tr.PerCore[core], workload.Access{
-			Addr:   addr,
-			Write:  flags&flagWrite != 0,
-			Dep:    flags&flagDep != 0,
-			NonMem: int(nonMem),
-		})
-		n++
+	recordsAt := len(data) - br.Len()
+	perCore := make([]int, cores)
+	n, err := decodeRecords(br, cores, footprint, func(core uint64, _ workload.Access) { perCore[core]++ })
+	if err != nil {
+		return nil, err
 	}
 	count, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -264,9 +227,86 @@ func Read(r io.Reader) (*Trace, error) {
 	if want, got := binary.LittleEndian.Uint32(data[summed:]), crc32.Checksum(data[:summed], castagnoli()); got != want {
 		return nil, fmt.Errorf("trace: checksum mismatch: trailer %#08x, stream %#08x", want, got)
 	}
+	tr := &Trace{
+		Name:      string(nameBuf),
+		Cores:     int(cores),
+		Footprint: int64(footprint),
+		PerCore:   make([][]workload.Access, cores),
+	}
+	for c, k := range perCore {
+		if k > 0 {
+			tr.PerCore[c] = make([]workload.Access, 0, k)
+		}
+	}
+	// The first pass accepted these bytes, so this one cannot fail.
+	_, _ = decodeRecords(bytes.NewReader(data[recordsAt:]), cores, footprint, func(core uint64, a workload.Access) {
+		tr.PerCore[core] = append(tr.PerCore[core], a)
+	})
 	sum := sha256.Sum256(data)
 	tr.Digest = hex.EncodeToString(sum[:])
 	return tr, nil
+}
+
+// readAll reads r to its end. When r can report its size, as an *os.File
+// does, the buffer is allocated once at that size instead of growing by
+// doubling.
+func readAll(r io.Reader) ([]byte, error) {
+	var b bytes.Buffer
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			b.Grow(int(fi.Size()) + bytes.MinRead)
+		}
+	}
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
+}
+
+// decodeRecords decodes the records from br's position through the
+// trailer's end marker, checking that each names one of cores and lies
+// inside the footprint, and hands each access to visit. It returns the
+// number of records.
+func decodeRecords(br *bytes.Reader, cores, footprint uint64, visit func(core uint64, a workload.Access)) (uint64, error) {
+	last := make([]uint64, cores)
+	var n uint64
+	for {
+		if br.Len() == 0 {
+			return n, fmt.Errorf("trace: missing trailer: stream ends after %d records", n)
+		}
+		core, err := binary.ReadUvarint(br)
+		if err != nil {
+			return n, fmt.Errorf("trace: record %d: %w", n, err)
+		}
+		if core == cores {
+			return n, nil // the trailer's end marker
+		}
+		if core > cores {
+			return n, fmt.Errorf("trace: record %d: core %d out of range", n, core)
+		}
+		flags, err := br.ReadByte()
+		if err != nil {
+			return n, fmt.Errorf("trace: record %d: %w", n, err)
+		}
+		delta, err := binary.ReadVarint(br)
+		if err != nil {
+			return n, fmt.Errorf("trace: record %d: %w", n, err)
+		}
+		nonMem, err := binary.ReadUvarint(br)
+		if err != nil {
+			return n, fmt.Errorf("trace: record %d: %w", n, err)
+		}
+		addr := uint64(int64(last[core]) + delta)
+		if addr >= footprint {
+			return n, fmt.Errorf("trace: record %d: core %d address %#x outside footprint %#x", n, core, addr, footprint)
+		}
+		last[core] = addr
+		visit(core, workload.Access{
+			Addr:   addr,
+			Write:  flags&flagWrite != 0,
+			Dep:    flags&flagDep != 0,
+			NonMem: int(nonMem),
+		})
+		n++
+	}
 }
 
 // Generators returns one replaying generator per core. Streams loop when

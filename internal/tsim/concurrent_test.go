@@ -36,7 +36,7 @@ func brokenEMCC(c *config.Config) {
 }
 
 // TestConcurrentRunsIsolateViolations runs two full tsim scenarios
-// concurrently in one process with invariants enabled on both: a clean one
+// concurrently in one process with a recorder on each: a clean one
 // and one with a deliberately broken EMCC policy. The broken run's
 // violations must land only in its own recorder — the clean run's recorder
 // stays empty — and the clean run's stats must be byte-identical to the
@@ -51,9 +51,7 @@ func TestConcurrentRunsIsolateViolations(t *testing.T) {
 	}
 
 	cleanRec := inv.NewRecorder()
-	cleanRec.Enable(true)
 	brokenRec := inv.NewRecorder()
-	brokenRec.Enable(true)
 
 	cleanSim := buildRec(t, nil, cleanRec)
 	brokenSim := buildRec(t, brokenEMCC, brokenRec)

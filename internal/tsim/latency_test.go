@@ -135,7 +135,7 @@ func TestSingleColdMissLatencyInSRAM(t *testing.T) {
 
 	// AESPool.Reserve(n, at) on an idle pool: last op issues at
 	// at + (n-1)*interval and completes after the pool latency.
-	lanes := int64(cfg.BlockSize / 16)
+	lanes := int64(addr.BlockBytes / 16)
 	interval := sim.Time(float64(sim.Second)/config.InSRAMAESOpsPerSec(&cfg) + 0.5)
 	want := (nonSecureColdMiss(s, target) +
 		sim.Time(lanes-1)*interval + // lane serialisation on the SRAM arrays
@@ -180,7 +180,7 @@ func TestSingleColdMissLatencyMorphable(t *testing.T) {
 	// counter's own cold DRAM access plus decode and AES, and stay below
 	// an absurd ceiling.
 	ctr := atMC + cfg.CtrCacheLatency
-	lowerBound := (ctr + cfg.TRCD + cfg.TCL + cfg.BurstLatency + cfg.CtrDecodeLatency + cfg.AESLatency - cfg.L2Latency).Nanoseconds()
+	lowerBound := (ctr + cfg.TRCD + cfg.TCL + cfg.BurstLatency + s.mc.decodeLat + cfg.AESLatency - cfg.L2Latency).Nanoseconds()
 
 	got := s.st.Accum("tsim/l2-read-miss-latency-ps").Mean() / 1000
 	if got < lowerBound {

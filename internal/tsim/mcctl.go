@@ -273,10 +273,7 @@ func newMCCtl(s *Sim, dataBytes int64) *mcCtl {
 		// Direct in-SRAM AES at the MC: the pool's latency and bandwidth
 		// derive from the SRAM geometry instead of the fixed AESLatency.
 		// No metadata home or overflow engine either.
-		m.insramOps = int(s.cfg.BlockSize / 16)
-		if m.insramOps < 1 {
-			m.insramOps = 1
-		}
+		m.insramOps = addr.BlockBytes / 16 // one 16 B lane per AES pass
 		m.aes = mc.NewAESPool(s.eng, config.InSRAMAESOpsPerSec(s.cfg), config.InSRAMAESLatency(s.cfg))
 		return m
 	}

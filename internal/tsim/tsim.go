@@ -101,6 +101,11 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 	if opt.Cores == 0 {
 		opt.Cores = cfg.Cores
 	}
+	mesh := noc.New(cfg.MeshCols, cfg.MeshRows, cfg.NoCHopLatency, cfg.NoCBaseOneWay)
+	if opt.Cores > mesh.CoreTiles() {
+		return nil, fmt.Errorf("tsim: %d cores, but the %dx%d mesh has %d core tiles",
+			opt.Cores, cfg.MeshCols, cfg.MeshRows, mesh.CoreTiles())
+	}
 	if opt.Scale == (workload.Scale{}) {
 		opt.Scale = workload.DefaultScale()
 	}
@@ -130,7 +135,7 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 		opt:  opt,
 		eng:  sim.New(),
 		st:   stats.NewSet(),
-		mesh: noc.New(cfg.MeshCols, cfg.MeshRows, cfg.NoCHopLatency, cfg.NoCBaseOneWay),
+		mesh: mesh,
 		ivr:  opt.Recorder,
 	}
 	// Bind the run's recorder to the engine before any component grabs it:

@@ -1,6 +1,7 @@
 package tsim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -352,6 +353,21 @@ func TestCustomGeneratorsValidated(t *testing.T) {
 	gens4, _ := workload.NewSet("canneal", 4, 5, workload.TestScale())
 	if _, err := New(&cfg, Options{Cores: 4, Refs: 1, Generators: gens4}); err == nil {
 		t.Fatal("missing DataBytes accepted")
+	}
+}
+
+// TestNewRejectsMoreCoresThanTiles: every core needs a tile of its own, so
+// a run with more cores than the mesh has core tiles is an error naming
+// both counts, before any workload is built; a run that fills every core
+// tile is accepted.
+func TestNewRejectsMoreCoresThanTiles(t *testing.T) {
+	cfg := config.Default()
+	_, err := New(&cfg, Options{Benchmark: "canneal", Cores: 29, Refs: 29, Scale: workload.TestScale()})
+	if err == nil || !strings.Contains(err.Error(), "29 cores, but the 6x5 mesh has 28 core tiles") {
+		t.Fatalf("29 cores: err = %v", err)
+	}
+	if _, err := New(&cfg, Options{Benchmark: "canneal", Cores: 28, Refs: 28, Scale: workload.TestScale()}); err != nil {
+		t.Fatalf("28 cores: %v", err)
 	}
 }
 
