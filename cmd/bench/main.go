@@ -5,13 +5,15 @@
 // interval snapshot), the RMAT graph build every cold graph run pays (on
 // every CPU, and on one worker so the single-thread cost stays on record;
 // their ratio is the speedup at the artifact's cpus), the DRAM channel
-// loop, the cache tag store, the workload generators (canneal, pageRank,
-// and a pageRank generator that starts on a hub), the fsim per-reference
+// loop, the memory controller's AES pool reservation, the NoC's one-way
+// latency, the functional crypto (one 64 B block's MAC and encryption),
+// the cache tag store, the workload generators (canneal, pageRank, and a
+// pageRank generator that starts on a hub), the fsim per-reference
 // throughput, the tsim end-to-end throughput (single workload, traced, and
 // the 4-core co-run), and one full verification-harness run (check.Run at
 // 2 k references on one goroutine) — and emits one machine-readable JSON
 // artifact. The BENCH_*.json files in the repo root record earlier runs
-// (BENCH_26.json is the newest); CI regenerates the artifact on every push
+// (BENCH_28.json is the newest); CI regenerates the artifact on every push
 // and uploads it for trend inspection.
 //
 // Each run also diffs itself against the newest committed BENCH_*.json
@@ -50,7 +52,7 @@ var suites = []struct {
 	{"./internal/stats", "^BenchmarkFlightRecordSet$"},
 	{"./internal/workload", "^(BenchmarkGraphBuild|BenchmarkGraphBuildSerial)$"},
 	{"./internal/check", "^BenchmarkCheckRun$"},
-	{".", "^(BenchmarkEventEngine|BenchmarkDRAMRandomReads|BenchmarkCacheLookupInsert|BenchmarkWorkloadCanneal|BenchmarkWorkloadPageRank|BenchmarkWorkloadGraphHub|BenchmarkFunctionalSimThroughput|BenchmarkTimingSimThroughput|BenchmarkTimingSimTraced|BenchmarkTimingSimCoRun)$"},
+	{".", "^(BenchmarkEventEngine|BenchmarkDRAMRandomReads|BenchmarkAESPoolReserve|BenchmarkNoCLatency|BenchmarkBlockMAC|BenchmarkBlockEncrypt|BenchmarkCacheLookupInsert|BenchmarkWorkloadCanneal|BenchmarkWorkloadPageRank|BenchmarkWorkloadGraphHub|BenchmarkFunctionalSimThroughput|BenchmarkTimingSimThroughput|BenchmarkTimingSimTraced|BenchmarkTimingSimCoRun)$"},
 }
 
 // workerAllocs names benchmarks whose allocations grow with the worker

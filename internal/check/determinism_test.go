@@ -10,7 +10,7 @@ import (
 
 // Determinism: the same configuration and seed must produce byte-identical
 // statistics on repeated runs. Both simulators are built on deterministic
-// structures (FIFO tie-break event heap, slice-based caches), so any
+// structures (FIFO tie-break event queue, slice-based caches), so any
 // divergence here means hidden map-iteration or scheduling nondeterminism
 // crept in — which would silently break every golden and differential test.
 

@@ -253,14 +253,10 @@ func noteValue(t *testing.T, tab *Table, prefix string) float64 {
 	return printedNumber(t, tab, prefix, "")
 }
 
-// TestClaimsMatchPrintedValues: every paper expectation's claim is
-// recorded by its figure's builder and equals the number its table
-// prints, or for a difference, the difference of the printed numbers;
-// so cmd/report grades exactly what a reader of the table sees.
-func TestClaimsMatchPrintedValues(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed")
-	}
+// claimReaders maps each paper expectation ("figure/claim") to the
+// reading of its number off the printed table: a cell by row label and
+// column header, a note by its prefix, or a difference of cells.
+func claimReaders(t *testing.T) map[string]func(*Table) float64 {
 	at := func(label, header string) func(*Table) float64 {
 		return func(tab *Table) float64 { return cellValue(t, tab, label, header) }
 	}
@@ -270,7 +266,7 @@ func TestClaimsMatchPrintedValues(t *testing.T) {
 	minus := func(a, b func(*Table) float64) func(*Table) float64 {
 		return func(tab *Table) float64 { return a(tab) - b(tab) }
 	}
-	want := map[string]func(*Table) float64{
+	return map[string]func(*Table) float64{
 		"fig2/mean-total-wo":         at("mean", "w/o-total"),
 		"fig2/mean-total-w":          at("mean", "w-total"),
 		"fig3/mean-hit-latency":      at("mean", "share"),
@@ -300,9 +296,22 @@ func TestClaimsMatchPrintedValues(t *testing.T) {
 			return sum / float64(len(tab.Rows))
 		},
 	}
-	h := microHarness()
-	h.RefsOverride = 8_000 // TestByIDAndIDsAgree's size
+}
+
+// checkClaims builds each expectation's figure on h, for the figures in
+// figs (every figure when figs is nil), and checks that the table records
+// the claim and that the claim equals its printed reading. With nonzero
+// set it also requires the claim to be nonzero. It returns how many
+// claims it checked.
+func checkClaims(t *testing.T, h *Harness, figs map[string]bool, nonzero bool) int {
+	t.Helper()
+	readers := claimReaders(t)
+	n := 0
 	for _, e := range paper.Expectations() {
+		if figs != nil && !figs[e.Figure] {
+			continue
+		}
+		n++
 		key := e.Figure + "/" + e.Claim
 		tab, ok := h.ByID(e.Figure)
 		if !ok {
@@ -314,7 +323,7 @@ func TestClaimsMatchPrintedValues(t *testing.T) {
 			t.Errorf("%s: table records no such claim (has %v)", key, tab.Claims)
 			continue
 		}
-		read := want[key]
+		read := readers[key]
 		if read == nil {
 			t.Errorf("%s: no printed reading for this claim in the test", key)
 			continue
@@ -322,6 +331,47 @@ func TestClaimsMatchPrintedValues(t *testing.T) {
 		if w := read(tab); got != w {
 			t.Errorf("%s: claim %v, table prints %v", key, got, w)
 		}
+		if nonzero && got == 0 {
+			t.Errorf("%s: claim reads 0, so it cannot be told from an empty column", key)
+		}
+	}
+	return n
+}
+
+// TestClaimsMatchPrintedValues: every paper expectation's claim is
+// recorded by its figure's builder and equals the number its table
+// prints, or for a difference, the difference of the printed numbers;
+// so cmd/report grades exactly what a reader of the table sees.
+func TestClaimsMatchPrintedValues(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	h := microHarness()
+	h.RefsOverride = 8_000 // TestByIDAndIDsAgree's size
+	checkClaims(t, h, nil, false)
+}
+
+// TestClaimsNonzeroAtLargerScale builds the four figures whose claims read
+// 0 at the micro scale, where every workload fits the caches — fig 11's
+// and fig 24's useless counter accesses, fig 20's counter-cache-size drop
+// and fig 23's invalidations — at a scale where none does: 2^15 graph
+// vertices, 32 MB irregular and 8 MB regular footprints per core, 120 k
+// references. Each claim must be nonzero and equal its printed reading,
+// so a builder that recorded an empty column fails here.
+func TestClaimsNonzeroAtLargerScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	h := NewHarness(true)
+	sc := workload.TestScale()
+	sc.GraphVertices = 1 << 15
+	sc.IrregularBytes = 32 << 20
+	sc.RegularBytes = 8 << 20
+	h.ScaleOverride = &sc
+	h.RefsOverride = 120_000
+	figs := map[string]bool{"fig11": true, "fig20": true, "fig23": true, "fig24": true}
+	if n := checkClaims(t, h, figs, true); n != len(figs) {
+		t.Fatalf("checked %d claims, want one for each of %d figures", n, len(figs))
 	}
 }
 

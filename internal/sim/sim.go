@@ -2,14 +2,17 @@
 // every timing model in this repository.
 //
 // The engine keeps a monotonically increasing clock in integer picoseconds
-// and a four-ary min-heap of pending events (queue.go). Components
-// schedule closures with At/After, or — on hot paths — prebound callbacks
-// with AtCall/AfterCall, which allocate nothing in steady state. Run
-// drains the heap in timestamp order (FIFO among equal timestamps, which
-// keeps simulations deterministic).
+// and a calendar queue of pending events (queue.go): a ring of 256 ps
+// buckets covering the next 262 ns, with a four-ary min-heap for the
+// events beyond it. Components schedule closures with At/After, or — on
+// hot paths — prebound callbacks with AtCall/AfterCall, which allocate
+// nothing in steady state. Run drains the queue in timestamp order (FIFO
+// among equal timestamps, which keeps simulations deterministic).
 package sim
 
 import (
+	"math"
+
 	"repro/internal/inv"
 )
 
@@ -159,36 +162,40 @@ func (e *Engine) Every(period Time, fn func(now Time)) {
 
 // Run executes events until none remain.
 func (e *Engine) Run() {
-	for e.q.len() > 0 {
-		e.step()
+	for e.step(maxTime) {
 	}
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // t. Events scheduled beyond t remain pending.
 func (e *Engine) RunUntil(t Time) {
-	for e.q.len() > 0 && e.peek().at <= t {
-		e.step()
+	for e.step(t) {
 	}
 	if e.now < t {
 		e.now = t
+		e.q.advance(t)
 	}
 }
 
 // RunFor executes events for d picoseconds of simulated time from now.
 func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
-// peek is the single seam through which the run loops inspect the next
-// event; the queue implementation can change behind it. Callers must
-// check Pending() > 0 first.
-func (e *Engine) peek() *entry { return e.q.peek() }
+// maxTime is the latest representable time; step(maxTime) runs the next
+// event, whenever it is due.
+const maxTime = Time(math.MaxInt64)
 
-func (e *Engine) step() {
-	ev, cb := e.q.pop()
+// step runs the next event if it is due at or before t, and reports
+// whether it ran one.
+func (e *Engine) step(t Time) bool {
+	ev, cb, ok := e.q.popUntil(t)
+	if !ok {
+		return false
+	}
 	if e.rec.On() && ev.at < e.now {
 		e.rec.Failf("sim", "clock moved backwards: event at %d ps popped at now=%d ps", ev.at, e.now)
 	}
 	e.now = ev.at
 	e.steps++
 	cb.fn(cb.arg)
+	return true
 }

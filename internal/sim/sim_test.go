@@ -131,6 +131,50 @@ func TestRunUntilLeavesLaterEventsPending(t *testing.T) {
 	}
 }
 
+// TestRunUntilPastHorizonThenNear moves the clock past the ring's horizon
+// while only far-heap events are pending, then schedules near events
+// around them: the near ones land in the ring at slots that have wrapped,
+// beside far-heap events at the same timestamps, and everything must run
+// in (time, class, key, schedule) order.
+func TestRunUntilPastHorizonThenNear(t *testing.T) {
+	const horizon = ringSlots << bucketShift
+	e := New()
+	var order []string
+	note := func(x any) { order = append(order, x.(string)) }
+	e.AtCallLate(3*horizon, 1, note, "far-late@3H")
+	e.AtCall(3*horizon, note, "far@3H")
+	e.AtCall(2*horizon+5, note, "far@2H+5")
+	if len(e.q.far) != 3 {
+		t.Fatalf("far heap holds %d events, want all 3", len(e.q.far))
+	}
+	e.RunUntil(2 * horizon)
+	if len(order) != 0 || e.Now() != 2*horizon {
+		t.Fatalf("RunUntil(2H) ran %v and left the clock at %d, want nothing run and %d", order, e.Now(), 2*horizon)
+	}
+	e.AtCall(2*horizon+5, note, "near@2H+5")
+	e.AtCallLate(2*horizon+5, 0, note, "near-late@2H+5")
+	e.AtCall(2*horizon+1, note, "near@2H+1")
+	e.AtCall(3*horizon-1, note, "near@3H-1")
+	e.AtCallLate(3*horizon, 0, note, "past-late@3H")
+	e.AtCall(3*horizon, note, "past@3H")
+	if len(e.q.far) != 5 {
+		t.Fatalf("far heap holds %d events, want the 3 far ones and the 2 at 3H", len(e.q.far))
+	}
+	e.Run()
+	want := []string{
+		"near@2H+1", "far@2H+5", "near@2H+5", "near-late@2H+5", "near@3H-1",
+		"far@3H", "past@3H", "past-late@3H", "far-late@3H",
+	}
+	if len(order) != len(want) {
+		t.Fatalf("ran %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("ran %v, want %v", order, want)
+		}
+	}
+}
+
 func TestRunForAdvancesRelative(t *testing.T) {
 	e := New()
 	e.RunFor(100)
@@ -169,7 +213,7 @@ func TestStepsCountsExecutedEvents(t *testing.T) {
 
 // TestEveryStopsWhenWorkDrains proves a periodic sampler cannot keep Run
 // alive: once the simulation's own events are exhausted, the tick sees an
-// empty heap and does not re-arm.
+// empty queue and does not re-arm.
 func TestEveryStopsWhenWorkDrains(t *testing.T) {
 	e := New()
 	var ticks []Time

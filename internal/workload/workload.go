@@ -12,6 +12,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -145,6 +146,9 @@ func NewSet(name string, cores int, seed uint64, sc Scale) ([]Generator, error) 
 	}
 	gens := make([]Generator, cores)
 	if kern, ok := graphKernels[name]; ok {
+		if err := checkGraphDegree(sc); err != nil {
+			return nil, err
+		}
 		g := cachedGraph(sc.GraphVertices, sc.GraphAvgDegree, seed)
 		for c := 0; c < cores; c++ {
 			gens[c] = newGraphGen(name, kern, g, c, cores, seed+uint64(c)*0x9e37)
@@ -207,6 +211,9 @@ func SpaceBytes(name string, cores int, sc Scale) (int64, error) {
 		return total, nil
 	}
 	if _, ok := graphKernels[name]; ok {
+		if err := checkGraphDegree(sc); err != nil {
+			return 0, err
+		}
 		// Mirror graph.layout() analytically: row pointers, adjacency,
 		// four property arrays of propStride-byte records, each 64 B
 		// aligned.
@@ -220,6 +227,20 @@ func SpaceBytes(name string, cores int, sc Scale) (int64, error) {
 		return 0, fmt.Errorf("workload: unknown benchmark %q", name)
 	}
 	return int64(cores) * region, nil
+}
+
+// checkGraphDegree rejects an average degree the graph cannot be built
+// with: below 1 there are no edges for the kernels to walk (a negative
+// degree cannot even be allocated), and more than 2^32-1 edges overflow
+// the graph's uint32 row pointers and adjacency indices.
+func checkGraphDegree(sc Scale) error {
+	if sc.GraphAvgDegree < 1 {
+		return fmt.Errorf("workload: Scale.GraphAvgDegree must be at least 1, got %d", sc.GraphAvgDegree)
+	}
+	if v := int64(sc.GraphVertices); v > 0 && int64(sc.GraphAvgDegree) > math.MaxUint32/v {
+		return fmt.Errorf("workload: Scale.GraphAvgDegree %d over %d vertices is more than the graph's 2^32-1 edges", sc.GraphAvgDegree, v)
+	}
+	return nil
 }
 
 // rng is a splitmix64 PRNG: tiny, fast and stable across Go versions so

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -157,6 +158,33 @@ func TestUnknownBenchmarkErrors(t *testing.T) {
 	}
 	if _, err := NewSet("canneal", 0, 1, TestScale()); err == nil {
 		t.Fatal("zero cores accepted")
+	}
+}
+
+// TestBadGraphDegreeErrors checks that a graph kernel's NewSet and
+// SpaceBytes reject an average degree the graph cannot be built with, by
+// an error naming the field: a negative degree (which panicked in the
+// build), a zero one (which built an edgeless graph whose kernels still
+// emitted references), and one whose edge count overflows the uint32 row
+// pointers (rejected before anything is allocated).
+func TestBadGraphDegreeErrors(t *testing.T) {
+	for _, c := range []struct {
+		vertices, degree int
+	}{{1 << 12, -1}, {1 << 12, 0}, {1 << 22, 1024}, {1 << 31, 2}} {
+		sc := TestScale()
+		sc.GraphVertices, sc.GraphAvgDegree = c.vertices, c.degree
+		if _, err := NewSet("pageRank", 4, 1, sc); err == nil || !strings.Contains(err.Error(), "GraphAvgDegree") {
+			t.Errorf("NewSet with %d vertices of degree %d: error %v, want one naming GraphAvgDegree", c.vertices, c.degree, err)
+		}
+		if _, err := SpaceBytes("pageRank", 4, sc); err == nil || !strings.Contains(err.Error(), "GraphAvgDegree") {
+			t.Errorf("SpaceBytes with %d vertices of degree %d: error %v, want one naming GraphAvgDegree", c.vertices, c.degree, err)
+		}
+	}
+	// The largest edge count the row pointers hold is accepted.
+	sc := TestScale()
+	sc.GraphVertices, sc.GraphAvgDegree = 1<<22, 1023
+	if _, err := SpaceBytes("pageRank", 4, sc); err != nil {
+		t.Errorf("SpaceBytes with 2^22 vertices of degree 1023: %v", err)
 	}
 }
 
