@@ -10,8 +10,6 @@
 //	emccsim -mode functional -cpuprofile cpu.pprof     # profile the run
 //	emccsim -mode timing -system emcc -refs 200000 -trace emcc.json
 //	emccsim -mode timing -sample 16 -trace t.json -flight f.csv -openmetrics m.prom
-//	emccsim -record canneal.trc -bench canneal -refs 2000000
-//	emccsim -replay canneal.trc -mode timing -system emcc
 //
 // -trace attaches the per-request critical-path tracer (internal/obs) to a
 // timing run: it writes a Chrome/Perfetto trace_event file and a
@@ -27,15 +25,8 @@
 // write -cache: the scenario key covers neither the tracer's statistics
 // nor its side files.
 //
-// -record writes the -bench/-seed/-refs/-small reference stream, interleaved
-// over the configuration's cores, to a trace file (internal/trace) and
-// exits; any other flag beside it but the profile flags is an error, since
-// the recording would ignore it. -replay runs a recorded trace in place of
-// a synthetic benchmark: the trace fixes the benchmark, seed and scale, so
-// those flags are errors beside it, and without -refs the run covers the
-// file once. A replay is
-// an ordinary scenario keyed by the trace's SHA-256, so every other flag
-// applies to it.
+// A -refs budget that leaves some core no references, or a negative
+// -warmup, is an error: the run exits 1 and prints no statistics.
 package main
 
 import (
@@ -56,7 +47,6 @@ import (
 	"repro/internal/prov"
 	runner "repro/internal/run"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -115,40 +105,13 @@ func run(args []string, stdout io.Writer) (err error) {
 		sample   = fs.Uint64("sample", 1, "trace every Nth request (1 = all)")
 		flight   = fs.String("flight", "", "flight-recorder output `file` of a timing run (.json = JSON, else CSV)")
 		openMet  = fs.String("openmetrics", "", "OpenMetrics text-exposition `file` of the final stats snapshot")
-		record   = fs.String("record", "", "write the -bench/-seed/-refs/-small reference stream to trace `file` and exit")
-		replay   = fs.String("replay", "", "replay the recorded trace `file` instead of a synthetic benchmark (one pass unless -refs is set)")
 	)
-	// Every flag but the profile flags, which Register adds below.
-	simFlag := map[string]bool{}
-	fs.VisitAll(func(f *flag.Flag) { simFlag[f.Name] = true })
 	prof := profile.Register(fs, "emccsim")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
 		}
 		return errUsage
-	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, name := range []string{"record", "bench", "seed", "small"} {
-		if *replay != "" && set[name] {
-			return fmt.Errorf("-%s cannot be combined with -replay: the trace fixes the benchmark, seed and scale it replays", name)
-		}
-	}
-	if *record != "" {
-		extra := ""
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "record", "bench", "seed", "refs", "small":
-			default:
-				if simFlag[f.Name] && extra == "" {
-					extra = f.Name
-				}
-			}
-		})
-		if extra != "" {
-			return fmt.Errorf("-%s cannot be combined with -record: a recording takes only -bench, -seed, -refs, -small and the profile flags", extra)
-		}
 	}
 	if err := prof.Start(); err != nil {
 		return err
@@ -191,9 +154,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	if *small {
 		scale = workload.TestScale()
 	}
-	if *record != "" {
-		return recordTrace(stdout, *record, *bench, cfg.Cores, *seed, *refs, scale)
-	}
 
 	var runMode runner.Mode
 	switch *mode {
@@ -217,20 +177,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		Seed: *seed, Refs: *refs, Warmup: *warm, Scale: scale,
 		Label: *bench,
 	}
-	var info string
-	if *replay != "" {
-		tr, err := loadTrace(*replay)
-		if err != nil {
-			return err
-		}
-		var n int64
-		n, info = describe(tr)
-		sc.Benchmark, sc.Label, sc.Cores, sc.Replay = tr.Name, tr.Name, tr.Cores, tr
-		sc.Seed, sc.Scale = 0, workload.Scale{}
-		if !set["refs"] {
-			sc.Refs = n
-		}
-	}
 	fields := map[string]string{
 		"tool":      "emccsim",
 		"mode":      *mode,
@@ -239,11 +185,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		"refs":      fmt.Sprint(sc.Refs),
 		"warmup":    fmt.Sprint(*warm),
 		"scenario":  sc.Key(),
-	}
-	if sc.Replay != nil {
-		delete(fields, "seed")
-		fields["replay"] = *replay
-		fields["replay-sha256"] = sc.Replay.Digest
 	}
 	if traced {
 		fields["sample"] = fmt.Sprint(*sample)
@@ -284,9 +225,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}
 
-	if info != "" && !*asJSON {
-		fmt.Fprintf(stdout, "# %s\n", info)
-	}
 	switch runMode {
 	case runner.Functional:
 		if *asJSON {
@@ -401,56 +339,6 @@ func traceRun(sc *runner.Scenario, manifest map[string]string, tracePath, flight
 	obs.WriteSummary(&report, s.Stats())
 	obs.WriteTopRequests(&report, tr.TopRequests())
 	return &runner.Outcome{Stats: s.Stats().Snapshot(), Timing: &res}, report.String(), nil
-}
-
-// recordTrace writes refs references of bench, interleaved over cores, to
-// the trace file path.
-func recordTrace(stdout io.Writer, path, bench string, cores int, seed uint64, refs int64, scale workload.Scale) error {
-	var n int64
-	err := writeFile(path, func(w io.Writer) (err error) {
-		n, err = trace.Record(w, bench, cores, seed, refs, scale)
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("-record %s: %w", path, err)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "recorded %d refs of %s into %s (%.1f MB, %.2f B/ref)\n",
-		n, bench, path, float64(st.Size())/1e6, float64(st.Size())/float64(n))
-	return nil
-}
-
-// loadTrace reads and verifies the trace file at path.
-func loadTrace(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	tr, err := trace.Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("-replay %s: %w", path, err)
-	}
-	return tr, nil
-}
-
-// describe counts a trace's references and renders the header line its
-// replay prints.
-func describe(tr *trace.Trace) (refs int64, line string) {
-	var writes int64
-	for _, pc := range tr.PerCore {
-		refs += int64(len(pc))
-		for _, a := range pc {
-			if a.Write {
-				writes++
-			}
-		}
-	}
-	return refs, fmt.Sprintf("trace %s: %d cores, %d MB footprint, %d references (%.1f%% writes)",
-		tr.Name, tr.Cores, tr.Footprint>>20, refs, 100*float64(writes)/float64(refs))
 }
 
 // writeFile creates path and fills it with write.

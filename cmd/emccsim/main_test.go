@@ -1,8 +1,7 @@
 package main
 
 import (
-	"bytes"
-	"io"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,17 +94,6 @@ func TestOpenMetricsBothModes(t *testing.T) {
 	}
 }
 
-// recordCanneal records the canneal stream the replay tests share (seed 3,
-// 40 k references at the miniature scale) into dir and returns its path.
-func recordCanneal(t *testing.T, dir string) string {
-	t.Helper()
-	path := filepath.Join(dir, "canneal.trc")
-	if err := run([]string{"-record", path, "-small", "-bench", "canneal", "-seed", "3", "-refs", "40000"}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
 // body drops the # header lines of a text dump.
 func body(out string) string {
 	var b strings.Builder
@@ -117,145 +105,45 @@ func body(out string) string {
 	return b.String()
 }
 
-// TestReplayMatchesDirectRun: replaying a recorded stream in either mode
-// prints the statistics of the direct run that generated it, byte for
-// byte, and the replay covers the file once when -refs is not given.
-func TestReplayMatchesDirectRun(t *testing.T) {
-	path := recordCanneal(t, t.TempDir())
-	for _, mode := range []string{"functional", "timing"} {
-		var direct, replay strings.Builder
-		if err := run([]string{"-small", "-bench", "canneal", "-seed", "3", "-refs", "40000",
-			"-mode", mode, "-system", "emcc", "-warmup", "0"}, &direct); err != nil {
-			t.Fatal(err)
-		}
-		if err := run([]string{"-replay", path, "-mode", mode, "-system", "emcc", "-warmup", "0"}, &replay); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.HasPrefix(replay.String(), "# trace canneal: 4 cores") {
-			t.Errorf("%s: replay lacks the trace header line:\n%.200s", mode, replay.String())
-		}
-		if !strings.Contains(replay.String(), "refs=40000 ") {
-			t.Errorf("%s: replay did not cover the file's 40000 references once", mode)
-		}
-		if body(replay.String()) != body(direct.String()) {
-			t.Errorf("%s: replay body differs from the direct run", mode)
-		}
-	}
-}
-
-// TestReplayRejectsDamagedTrace: a trace with one byte changed fails its
-// checksum, and the replay prints nothing.
-func TestReplayRejectsDamagedTrace(t *testing.T) {
-	path := recordCanneal(t, t.TempDir())
-	b, err := os.ReadFile(path)
+// TestRunUsesResultCache: a second run of the same flags with the same
+// -cache reads the first one's outcome and prints the same statistics.
+func TestRunUsesResultCache(t *testing.T) {
+	args := []string{"-mode", "timing", "-cache", filepath.Join(t.TempDir(), "cache")}
+	first, err := runArgs(t, args...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[bytes.Index(b, []byte("canneal"))] ^= 1
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	second, err := runArgs(t, args...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var out strings.Builder
-	err = run([]string{"-replay", path}, &out)
-	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Errorf("damaged trace: err = %v, want a checksum mismatch", err)
+	if !strings.Contains(first, "cached=false") || !strings.Contains(second, "cached=true") {
+		t.Errorf("second run did not come from the cache:\n%s\n%s", first, second)
 	}
-	if out.Len() != 0 {
-		t.Errorf("damaged trace printed %q", out.String())
+	if body(first) != body(second) {
+		t.Error("cached body differs from the executed one")
 	}
 }
 
-// TestReplayFlagConflicts: -record and -replay exclude each other, and the
-// trace fixes the benchmark, seed and scale a replay runs.
-func TestReplayFlagConflicts(t *testing.T) {
+// TestBadBudgetsFail: a -refs budget that leaves some core no references
+// (the default machine has 4 cores) and a negative -warmup are errors that
+// name the field and exit 1, and the run prints nothing.
+func TestBadBudgetsFail(t *testing.T) {
 	for _, tc := range []struct {
-		flag string
 		args []string
+		want string
 	}{
-		{"-record", []string{"-record", "out.trc", "-replay", "in.trc"}},
-		{"-bench", []string{"-replay", "in.trc", "-bench", "mcf"}},
-		{"-seed", []string{"-replay", "in.trc", "-seed", "2"}},
-		{"-small", []string{"-replay", "in.trc", "-small"}},
+		{[]string{"-refs", "-5"}, "Refs -5 leaves some of 4 cores no references"},
+		{[]string{"-refs", "0"}, "Refs 0 leaves some of 4 cores no references"},
+		{[]string{"-mode", "timing", "-refs", "3"}, "Refs 3 leaves some of 4 cores no references"},
+		{[]string{"-warmup", "-100"}, "Warmup -100 is negative"},
 	} {
-		err := run(tc.args, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), tc.flag) {
-			t.Errorf("%v: err = %v, want one naming %s", tc.args, err, tc.flag)
+		out, err := runArgs(t, tc.args...)
+		if err == nil || errors.Is(err, errUsage) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want an exit-1 error containing %q", tc.args, err, tc.want)
 		}
-	}
-}
-
-// TestRecordRejectsIgnoredFlags: a recording writes only the
-// -bench/-seed/-refs/-small stream, so every other flag but the profile
-// flags is an error naming the flag, and neither the trace nor any file a
-// flag names is written. The profile flags are accepted.
-func TestRecordRejectsIgnoredFlags(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "out")
-	for _, tc := range [][]string{
-		{"-mode", "timing"},
-		{"-system", "emcc"},
-		{"-warmup", "1000"},
-		{"-json"},
-		{"-cache", filepath.Join(dir, "cache")},
-		{"-trace", out},
-		{"-sample", "4"},
-		{"-flight", out},
-		{"-openmetrics", out},
-		{"-llc-mb", "4"},
-		{"-ctr-kb", "64"},
-		{"-aes-ns", "20"},
-		{"-channels", "2"},
-		{"-aes-frac", "0.5"},
-		{"-l2ctr-kb", "16"},
-		{"-xpt"},
-		{"-prefetch", "2"},
-		{"-dynamic-off"},
-		{"-list"},
-	} {
-		path := filepath.Join(dir, "rec.trc")
-		var stdout strings.Builder
-		args := append([]string{"-record", path, "-small", "-refs", "1000"}, tc...)
-		err := run(args, &stdout)
-		if err == nil || !strings.Contains(err.Error(), tc[0]+" cannot be combined with -record") {
-			t.Errorf("%v: err = %v, want one naming %s", tc, err, tc[0])
+		if out != "" {
+			t.Errorf("%v printed %q", tc.args, out)
 		}
-		for _, p := range []string{path, out, filepath.Join(dir, "cache")} {
-			if _, serr := os.Stat(p); serr == nil {
-				t.Errorf("%v wrote %s", tc, p)
-			}
-		}
-		if stdout.Len() != 0 {
-			t.Errorf("%v printed %q", tc, stdout.String())
-		}
-	}
-	path, prof := filepath.Join(dir, "rec.trc"), filepath.Join(dir, "cpu.pprof")
-	if err := run([]string{"-record", path, "-small", "-bench", "mcf", "-seed", "2", "-refs", "1000", "-cpuprofile", prof}, io.Discard); err != nil {
-		t.Fatalf("-record with the profile flags: %v", err)
-	}
-	for _, p := range []string{path, prof} {
-		if _, err := os.Stat(p); err != nil {
-			t.Errorf("-record with -cpuprofile: %v", err)
-		}
-	}
-}
-
-// TestReplayUsesResultCache: a replay is a scenario like any other, so a
-// second replay of the same file reads the first one's cached outcome.
-func TestReplayUsesResultCache(t *testing.T) {
-	dir := t.TempDir()
-	path := recordCanneal(t, dir)
-	args := []string{"-replay", path, "-refs", "8000", "-cache", filepath.Join(dir, "cache")}
-	var first, second strings.Builder
-	if err := run(args, &first); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(args, &second); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(first.String(), "cached=false") || !strings.Contains(second.String(), "cached=true") {
-		t.Errorf("second replay did not come from the cache:\n%s\n%s", first.String(), second.String())
-	}
-	if body(first.String()) != body(second.String()) {
-		t.Error("cached replay body differs from the executed one")
 	}
 }

@@ -51,9 +51,6 @@ func NewDRAMMapper(channels, ranks, banksPerRank int, rowBytes int64) *DRAMMappe
 	return m
 }
 
-// Channels reports the configured channel count.
-func (m *DRAMMapper) Channels() int { return m.channels }
-
 // BanksPerChannel reports ranks*banksPerRank.
 func (m *DRAMMapper) BanksPerChannel() int { return m.ranks * m.banks }
 

@@ -25,17 +25,14 @@ type Options struct {
 	Benchmark string
 	Cores     int
 	Seed      uint64
-	Refs      int64 // memory references to replay (total across cores)
-	// Warmup references are replayed before Refs with statistics
-	// discarded afterwards — the equivalent of the paper's cache- and
-	// counter-warming phases (Sec. V).
+	// Refs is the number of memory references to replay, in total across
+	// cores and at least one per core.
+	Refs int64
+	// Warmup references, never negative, are replayed before Refs with
+	// statistics discarded afterwards — the equivalent of the paper's
+	// cache- and counter-warming phases (Sec. V).
 	Warmup int64
 	Scale  workload.Scale
-	// Generators, when non-nil, replaces the synthetic benchmark with
-	// caller-provided streams (e.g. a recorded trace, internal/trace);
-	// DataBytes must then bound every address they emit.
-	Generators []workload.Generator
-	DataBytes  int64
 	// Recorder, when non-nil, receives this run's invariant violations;
 	// nil runs with checking off. Concurrent runs in one process each keep
 	// their own ledger.
@@ -68,8 +65,10 @@ type Sim struct {
 	cCtrInserted, cUseless                 *int64
 }
 
-// New builds a functional simulation. cfg.Counter selects the secure-memory
-// design; cfg.CountersInLLC / cfg.EMCC select the architecture.
+// New builds a functional simulation of opt.Benchmark's synthetic
+// streams. cfg.Counter selects the secure-memory design;
+// cfg.CountersInLLC / cfg.EMCC select the architecture. Every core needs a
+// core tile of its own, as in tsim, and at least one reference.
 func New(cfg *config.Config, opt Options) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -77,34 +76,33 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 	if opt.Cores == 0 {
 		opt.Cores = cfg.Cores
 	}
+	mesh := noc.New(cfg.MeshCols, cfg.MeshRows, cfg.NoCHopLatency, cfg.NoCBaseOneWay)
+	if opt.Cores > mesh.CoreTiles() {
+		return nil, fmt.Errorf("fsim: %d cores, but the %dx%d mesh has %d core tiles",
+			opt.Cores, cfg.MeshCols, cfg.MeshRows, mesh.CoreTiles())
+	}
+	if opt.Refs < int64(opt.Cores) {
+		return nil, fmt.Errorf("fsim: Refs %d leaves some of %d cores no references", opt.Refs, opt.Cores)
+	}
+	if opt.Warmup < 0 {
+		return nil, fmt.Errorf("fsim: Warmup %d is negative", opt.Warmup)
+	}
 	if opt.Scale == (workload.Scale{}) {
 		opt.Scale = workload.DefaultScale()
 	}
-	gens := opt.Generators
-	dataBytes := opt.DataBytes
-	if gens == nil {
-		var err error
-		gens, err = workload.NewSet(opt.Benchmark, opt.Cores, opt.Seed, opt.Scale)
-		if err != nil {
-			return nil, err
-		}
-		dataBytes, err = workload.SpaceBytes(opt.Benchmark, opt.Cores, opt.Scale)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if len(gens) != opt.Cores {
-			return nil, fmt.Errorf("%s: %d generators for %d cores", "sim", len(gens), opt.Cores)
-		}
-		if dataBytes <= 0 {
-			return nil, fmt.Errorf("sim: DataBytes required with custom generators")
-		}
+	gens, err := workload.NewSet(opt.Benchmark, opt.Cores, opt.Seed, opt.Scale)
+	if err != nil {
+		return nil, err
+	}
+	dataBytes, err := workload.SpaceBytes(opt.Benchmark, opt.Cores, opt.Scale)
+	if err != nil {
+		return nil, err
 	}
 	s := &Sim{
 		cfg:  cfg,
 		opt:  opt,
 		st:   stats.NewSet(),
-		mesh: noc.New(cfg.MeshCols, cfg.MeshRows, cfg.NoCHopLatency, cfg.NoCBaseOneWay),
+		mesh: mesh,
 		gens: gens,
 	}
 	// The LLC splits into per-tile slices exactly like tsim's (same

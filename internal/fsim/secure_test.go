@@ -1,6 +1,7 @@
 package fsim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -131,8 +132,39 @@ func TestInvalidConfigRejected(t *testing.T) {
 		t.Fatal("invalid config accepted")
 	}
 	cfg = config.Default()
-	if _, err := New(&cfg, Options{Benchmark: "nosuch", Refs: 1}); err == nil {
-		t.Fatal("unknown benchmark accepted")
+	if _, err := New(&cfg, Options{Benchmark: "nosuch", Refs: 4}); err == nil || !strings.Contains(err.Error(), "nosuch") {
+		t.Fatalf("unknown benchmark: err = %v", err)
+	}
+	// A reference budget that leaves a core none and a negative warm-up
+	// are errors naming the field.
+	for _, tc := range []struct {
+		refs, warm int64
+		want       string
+	}{
+		{-5, 0, "Refs -5 leaves some of 4 cores no references"},
+		{0, 0, "Refs 0 leaves some of 4 cores no references"},
+		{3, 0, "Refs 3 leaves some of 4 cores no references"},
+		{4, -100, "Warmup -100 is negative"},
+	} {
+		_, err := New(&cfg, Options{Benchmark: "canneal", Refs: tc.refs, Warmup: tc.warm, Scale: workload.TestScale()})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Refs %d, Warmup %d: err = %v, want one containing %q", tc.refs, tc.warm, err, tc.want)
+		}
+	}
+}
+
+// TestNewRejectsMoreCoresThanTiles: every core needs a tile of its own, as
+// in tsim, so a run with more cores than the mesh has core tiles is an
+// error naming both counts, before any workload is built; a run that fills
+// every core tile is accepted.
+func TestNewRejectsMoreCoresThanTiles(t *testing.T) {
+	cfg := config.Default()
+	_, err := New(&cfg, Options{Benchmark: "canneal", Cores: 29, Refs: 29, Scale: workload.TestScale()})
+	if err == nil || !strings.Contains(err.Error(), "29 cores, but the 6x5 mesh has 28 core tiles") {
+		t.Fatalf("29 cores: err = %v", err)
+	}
+	if _, err := New(&cfg, Options{Benchmark: "canneal", Cores: 28, Refs: 28, Scale: workload.TestScale()}); err != nil {
+		t.Fatalf("28 cores: %v", err)
 	}
 }
 

@@ -32,20 +32,28 @@ type Report struct {
 // possible, executed (and cached) otherwise. The bool reports whether a
 // simulation actually ran.
 func Resolve(s *Scenario, c *Cache) (*Outcome, bool, error) {
+	return resolve(s, c, func(bool) {})
+}
+
+// resolve is Resolve with a hook that learns where the outcome comes from
+// before the scenario executes or right after its cached outcome is read.
+// An execution or cache-write error is wrapped with the scenario's mode
+// and label.
+func resolve(s *Scenario, c *Cache, from func(cached bool)) (*Outcome, bool, error) {
 	key := s.Key()
 	if c != nil {
 		if o, ok := c.Get(key); ok {
+			from(true)
 			return o, false, nil
 		}
 	}
+	from(false)
 	o, err := s.Execute()
+	if err == nil && c != nil {
+		err = c.Put(key, o)
+	}
 	if err != nil {
 		return nil, true, fmt.Errorf("run: %s %s: %w", s.Mode, s.Label, err)
-	}
-	if c != nil {
-		if err := c.Put(key, o); err != nil {
-			return nil, true, err
-		}
 	}
 	return o, true, nil
 }
@@ -88,35 +96,24 @@ func Execute(p *Plan, opt Options) (map[string]*Outcome, Report, error) {
 			defer wg.Done()
 			for i := range jobs {
 				s := scenarios[i]
-				key := s.Key()
-				var o *Outcome
-				if opt.Cache != nil {
-					if c, ok := opt.Cache.Get(key); ok {
-						o = c
-						mu.Lock()
+				o, _, err := resolve(s, opt.Cache, func(cached bool) {
+					mu.Lock()
+					defer mu.Unlock()
+					if cached {
 						rep.Cached++
 						logf("%-10s %-32s (cached)", s.Mode, s.Label)
-						mu.Unlock()
+					} else {
+						rep.Executed++
+						logf("%-10s %-32s (%s refs)", s.Mode, s.Label, refsLabel(s.Refs))
 					}
-				}
-				if o == nil {
+				})
+				if err != nil {
 					mu.Lock()
-					rep.Executed++
-					logf("%-10s %-32s (%s refs)", s.Mode, s.Label, refsLabel(s.Refs))
+					if first == nil {
+						first = err
+					}
 					mu.Unlock()
-					var err error
-					o, err = s.Execute()
-					if err == nil && opt.Cache != nil {
-						err = opt.Cache.Put(key, o)
-					}
-					if err != nil {
-						mu.Lock()
-						if first == nil {
-							first = fmt.Errorf("run: %s %s: %w", s.Mode, s.Label, err)
-						}
-						mu.Unlock()
-						continue
-					}
+					continue
 				}
 				outs[i] = o
 			}

@@ -24,7 +24,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/prov"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/tsim"
 	"repro/internal/workload"
 )
@@ -61,12 +60,6 @@ type Scenario struct {
 	// Label is a human-readable tag for progress logs (e.g.
 	// "canneal emcc/ch8"); it does not contribute to the key.
 	Label string
-	// Replay, when set, replaces the synthetic benchmark with a recorded
-	// trace (internal/trace): its streams, core count and footprint drive
-	// the run, and Benchmark, Seed and Scale only frame it. The trace's
-	// Digest joins the key, so two replays share an outcome only when they
-	// replay the same bytes.
-	Replay *trace.Trace
 }
 
 // Key is the scenario's content-addressed identity: the provenance config
@@ -82,9 +75,6 @@ func (s *Scenario) Key() string {
 		"cores":     fmt.Sprint(s.Cores),
 		"scale":     fmt.Sprintf("%+v", s.Scale),
 		"trace":     fmt.Sprint(s.Trace),
-	}
-	if s.Replay != nil {
-		framing["replay"] = s.Replay.Digest
 	}
 	return prov.ScenarioKey(&s.Config, framing)
 }
@@ -103,14 +93,10 @@ func (s *Scenario) NewFunctional() (*fsim.Sim, error) {
 	if s.Mode != Functional {
 		return nil, fmt.Errorf("run: NewFunctional on %s scenario", s.Mode)
 	}
-	gens, cores, space, err := s.source()
-	if err != nil {
-		return nil, err
-	}
 	cfg := s.Config
 	return fsim.New(&cfg, fsim.Options{
 		Benchmark: s.Benchmark, Seed: s.Seed, Refs: s.Refs, Warmup: s.Warmup,
-		Cores: cores, Scale: s.Scale, Generators: gens, DataBytes: space,
+		Cores: s.Cores, Scale: s.Scale,
 	})
 }
 
@@ -122,28 +108,11 @@ func (s *Scenario) NewTiming() (*tsim.Sim, error) {
 	if s.Mode != Timing {
 		return nil, fmt.Errorf("run: NewTiming on %s scenario", s.Mode)
 	}
-	gens, cores, space, err := s.source()
-	if err != nil {
-		return nil, err
-	}
 	cfg := s.Config
 	return tsim.New(&cfg, tsim.Options{
 		Benchmark: s.Benchmark, Seed: s.Seed, Refs: s.Refs, Warmup: s.Warmup,
-		Cores: cores, Scale: s.Scale, Generators: gens, DataBytes: space,
+		Cores: s.Cores, Scale: s.Scale,
 	})
-}
-
-// source returns the replay's generators, core count and footprint, or the
-// scenario's core count alone for a synthetic run.
-func (s *Scenario) source() (gens []workload.Generator, cores int, space int64, err error) {
-	if s.Replay == nil {
-		return nil, s.Cores, 0, nil
-	}
-	if s.Replay.Digest == "" {
-		return nil, 0, 0, fmt.Errorf("run: replay of %q has no digest to key it by (load it with trace.Read)", s.Replay.Name)
-	}
-	gens, err = s.Replay.Generators()
-	return gens, s.Replay.Cores, s.Replay.Footprint, err
 }
 
 // Execute runs the scenario to completion and returns its outcome. Each

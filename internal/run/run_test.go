@@ -7,12 +7,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -30,25 +30,10 @@ func miniature(mode Mode, bench string, mutate func(*config.Config)) Scenario {
 	}
 }
 
-// recorded records refs references of bench at seed and the test scale,
-// and reads the stream back.
-func recorded(t *testing.T, bench string, seed uint64, refs int64) *trace.Trace {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := trace.Record(&buf, bench, 4, seed, refs, workload.TestScale()); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
-
 func TestScenarioKeyIgnoresLabel(t *testing.T) {
 	a := miniature(Functional, "canneal", nil)
-	// The key of a scenario without Replay is pinned: a change to the key
-	// derivation would orphan every result-cache entry.
+	// The key is pinned: a change to the key derivation would orphan every
+	// result-cache entry.
 	if got, want := a.Key(), "1a7fe41969e7cf7817104c8a"; got != want {
 		t.Fatalf("key = %s, want %s", got, want)
 	}
@@ -75,16 +60,6 @@ func TestScenarioKeyIgnoresLabel(t *testing.T) {
 	f.Trace = true
 	if a.Key() == f.Key() {
 		t.Fatal("trace flag did not change the key")
-	}
-	g := a
-	g.Replay = recorded(t, "canneal", 1, 400)
-	if a.Key() == g.Key() {
-		t.Fatal("replaying a trace did not change the key")
-	}
-	h := g
-	h.Replay = recorded(t, "canneal", 2, 400)
-	if g.Key() == h.Key() {
-		t.Fatal("replays of different traces share a key")
 	}
 }
 
@@ -165,14 +140,28 @@ func TestExecuteServesFromCache(t *testing.T) {
 		p.Add(miniature(Timing, "mcf", nil))
 		return p
 	}
-	first, rep, err := Execute(build(), Options{Workers: 2, Cache: cache})
+	// progress returns the log's lines in order, each with its runs of
+	// spaces folded to one.
+	progress := func(log *bytes.Buffer) []string {
+		var lines []string
+		for _, line := range strings.Split(strings.TrimSuffix(log.String(), "\n"), "\n") {
+			lines = append(lines, strings.Join(strings.Fields(line), " "))
+		}
+		slices.Sort(lines)
+		return lines
+	}
+	var log bytes.Buffer
+	first, rep, err := Execute(build(), Options{Workers: 2, Cache: cache, Log: &log})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Executed != 2 || rep.Cached != 0 {
 		t.Fatalf("first run: executed=%d cached=%d, want 2/0", rep.Executed, rep.Cached)
 	}
-	var log bytes.Buffer
+	if got, want := progress(&log), []string{"functional canneal (20k refs)", "timing mcf (20k refs)"}; !slices.Equal(got, want) {
+		t.Fatalf("executions logged %q, want %q", got, want)
+	}
+	log.Reset()
 	second, rep, err := Execute(build(), Options{Workers: 2, Cache: cache, Log: &log})
 	if err != nil {
 		t.Fatal(err)
@@ -180,8 +169,8 @@ func TestExecuteServesFromCache(t *testing.T) {
 	if rep.Executed != 0 || rep.Cached != 2 {
 		t.Fatalf("second run: executed=%d cached=%d, want 0/2", rep.Executed, rep.Cached)
 	}
-	if !strings.Contains(log.String(), "(cached)") {
-		t.Fatalf("cache hits not logged: %q", log.String())
+	if got, want := progress(&log), []string{"functional canneal (cached)", "timing mcf (cached)"}; !slices.Equal(got, want) {
+		t.Fatalf("cache hits logged %q, want %q", got, want)
 	}
 	for k, a := range first {
 		b := second[k]
@@ -339,13 +328,6 @@ func TestExecuteSurfacesErrors(t *testing.T) {
 	p2.Add(bad)
 	if _, _, err := Execute(p2, Options{Workers: 1}); err == nil {
 		t.Fatal("invalid config did not error")
-	}
-	// A trace not loaded by trace.Read has no digest to key its replay by.
-	undigested := miniature(Functional, "canneal", nil)
-	undigested.Replay = recorded(t, "canneal", 1, 400)
-	undigested.Replay.Digest = ""
-	if _, err := undigested.Execute(); err == nil || !strings.Contains(err.Error(), "digest") {
-		t.Fatalf("replay without a digest: err = %v, want one naming the digest", err)
 	}
 }
 

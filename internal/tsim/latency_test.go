@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/config"
+	"repro/internal/noc"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -26,6 +27,18 @@ func (g *oneShot) Next() workload.Access {
 	return workload.Access{Addr: g.target, NonMem: 0} // L1 hit afterwards
 }
 
+// oneShotSim builds a one-core simulation under cfg whose core replays
+// oneShot's stream for target in place of a benchmark's.
+func oneShotSim(t *testing.T, cfg *config.Config, target uint64) *Sim {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	g := &oneShot{target: target}
+	mesh := noc.New(cfg.MeshCols, cfg.MeshRows, cfg.NoCHopLatency, cfg.NoCBaseOneWay)
+	return newSim(cfg, Options{Cores: 1, Refs: 2}, mesh, []workload.Generator{g}, g.Footprint())
+}
+
 // TestSingleColdMissLatencyNonSecure hand-computes the latency of one cold
 // load through L1 -> L2 -> LLC(miss) -> MC -> DRAM and back, and checks the
 // simulator reproduces it exactly. Any double-charged or dropped latency
@@ -37,13 +50,7 @@ func TestSingleColdMissLatencyNonSecure(t *testing.T) {
 	cfg.Cores = 1
 
 	const target = uint64(0x40000)
-	gens := []workload.Generator{&oneShot{target: target}}
-	s, err := New(&cfg, Options{
-		Cores: 1, Refs: 2, Generators: gens, DataBytes: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := oneShotSim(t, &cfg, target)
 	s.Run()
 
 	block := addr.BlockOf(target)
@@ -96,12 +103,7 @@ func TestSingleColdMissLatencyBipBip(t *testing.T) {
 	cfg.Cores = 1
 
 	const target = uint64(0x40000)
-	s, err := New(&cfg, Options{
-		Cores: 1, Refs: 2, Generators: []workload.Generator{&oneShot{target: target}}, DataBytes: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := oneShotSim(t, &cfg, target)
 	s.Run()
 
 	want := (nonSecureColdMiss(s, target) +
@@ -125,12 +127,7 @@ func TestSingleColdMissLatencyInSRAM(t *testing.T) {
 	cfg.Cores = 1
 
 	const target = uint64(0x40000)
-	s, err := New(&cfg, Options{
-		Cores: 1, Refs: 2, Generators: []workload.Generator{&oneShot{target: target}}, DataBytes: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := oneShotSim(t, &cfg, target)
 	s.Run()
 
 	// AESPool.Reserve(n, at) on an idle pool: last op issues at
@@ -156,13 +153,7 @@ func TestSingleColdMissLatencyMorphable(t *testing.T) {
 	cfg.Cores = 1
 
 	const target = uint64(0x40000)
-	gens := []workload.Generator{&oneShot{target: target}}
-	s, err := New(&cfg, Options{
-		Cores: 1, Refs: 2, Generators: gens, DataBytes: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := oneShotSim(t, &cfg, target)
 	s.Run()
 
 	block := addr.BlockOf(target)
@@ -194,12 +185,7 @@ func TestSingleColdMissLatencyMorphable(t *testing.T) {
 	nsCfg.Counter = config.CtrNone
 	nsCfg.CountersInLLC = false
 	nsCfg.Cores = 1
-	ns, err := New(&nsCfg, Options{
-		Cores: 1, Refs: 2, Generators: []workload.Generator{&oneShot{target: target}}, DataBytes: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ns := oneShotSim(t, &nsCfg, target)
 	ns.Run()
 	if got <= ns.st.Accum("tsim/l2-read-miss-latency-ps").Mean()/1000 {
 		t.Fatal("secure cold miss not slower than non-secure")

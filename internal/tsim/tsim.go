@@ -33,18 +33,14 @@ type Options struct {
 	Cores     int
 	Seed      uint64
 	// Refs is the total number of memory references replayed across all
-	// cores (the run ends when every core consumed its share and the
-	// machine drained).
+	// cores, at least one per core (the run ends when every core consumed
+	// its share and the machine drained).
 	Refs int64
-	// Warmup references are replayed functionally (no timing) before the
-	// detailed phase, warming caches and counter values (Sec. V).
+	// Warmup references, never negative, are replayed functionally (no
+	// timing) before the detailed phase, warming caches and counter values
+	// (Sec. V).
 	Warmup int64
 	Scale  workload.Scale
-	// Generators, when non-nil, replaces the synthetic benchmark with
-	// caller-provided streams (e.g. a recorded trace, internal/trace);
-	// DataBytes must then bound every address they emit.
-	Generators []workload.Generator
-	DataBytes  int64
 	// Recorder, when non-nil, receives this run's invariant violations;
 	// nil runs with checking off. Concurrent runs in one process each keep
 	// their own ledger.
@@ -93,7 +89,8 @@ type Sim struct {
 	warming bool // functional warmup in progress: no timing, no traffic
 }
 
-// New builds a timing simulation.
+// New builds a timing simulation of opt.Benchmark's synthetic streams.
+// Every core needs a core tile of its own and at least one reference.
 func New(cfg *config.Config, opt Options) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -106,30 +103,30 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 		return nil, fmt.Errorf("tsim: %d cores, but the %dx%d mesh has %d core tiles",
 			opt.Cores, cfg.MeshCols, cfg.MeshRows, mesh.CoreTiles())
 	}
+	if opt.Refs < int64(opt.Cores) {
+		return nil, fmt.Errorf("tsim: Refs %d leaves some of %d cores no references", opt.Refs, opt.Cores)
+	}
+	if opt.Warmup < 0 {
+		return nil, fmt.Errorf("tsim: Warmup %d is negative", opt.Warmup)
+	}
 	if opt.Scale == (workload.Scale{}) {
 		opt.Scale = workload.DefaultScale()
 	}
-	gens := opt.Generators
-	dataBytes := opt.DataBytes
-	if gens == nil {
-		var err error
-		gens, err = workload.NewSet(opt.Benchmark, opt.Cores, opt.Seed, opt.Scale)
-		if err != nil {
-			return nil, err
-		}
-		dataBytes, err = workload.SpaceBytes(opt.Benchmark, opt.Cores, opt.Scale)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if len(gens) != opt.Cores {
-			return nil, fmt.Errorf("%s: %d generators for %d cores", "sim", len(gens), opt.Cores)
-		}
-		if dataBytes <= 0 {
-			return nil, fmt.Errorf("sim: DataBytes required with custom generators")
-		}
+	gens, err := workload.NewSet(opt.Benchmark, opt.Cores, opt.Seed, opt.Scale)
+	if err != nil {
+		return nil, err
 	}
+	dataBytes, err := workload.SpaceBytes(opt.Benchmark, opt.Cores, opt.Scale)
+	if err != nil {
+		return nil, err
+	}
+	return newSim(cfg, opt, mesh, gens, dataBytes), nil
+}
 
+// newSim wires a simulation whose core c replays gens[c] over a data
+// footprint of dataBytes. New hands it a benchmark's streams; the latency
+// tests hand it scripted ones.
+func newSim(cfg *config.Config, opt Options, mesh *noc.Mesh, gens []workload.Generator, dataBytes int64) *Sim {
 	s := &Sim{
 		cfg:  cfg,
 		opt:  opt,
@@ -152,7 +149,7 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 		s.cpus = append(s.cpus, newCore(s, c, gens[c], perCore))
 	}
 	s.wirePorts()
-	return s, nil
+	return s
 }
 
 // Stats exposes collected metrics.
@@ -282,16 +279,9 @@ func (s *Sim) samplePoint(now sim.Time) {
 	}
 }
 
-// at schedules fn at the later of t and now (events cannot be scheduled in
-// the past; component handoffs routinely compute times at or before now).
-func (s *Sim) at(t sim.Time, fn func()) {
-	if now := s.eng.Now(); t < now {
-		t = now
-	}
-	s.eng.At(t, fn)
-}
-
-// atCall is the allocation-free sibling of at for prebound callbacks.
+// atCall schedules fn(arg) at the later of t and now (events cannot be
+// scheduled in the past; component handoffs routinely compute times at or
+// before now).
 func (s *Sim) atCall(t sim.Time, fn func(any), arg any) {
 	if now := s.eng.Now(); t < now {
 		t = now

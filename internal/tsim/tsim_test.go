@@ -325,37 +325,6 @@ func TestPrefetcherHelpsStreamingWorkload(t *testing.T) {
 	}
 }
 
-func TestCustomGeneratorsDriveTiming(t *testing.T) {
-	gens, err := workload.NewSet("canneal", 4, 5, workload.TestScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	space, _ := workload.SpaceBytes("canneal", 4, workload.TestScale())
-	cfg := config.Default()
-	s, err := New(&cfg, Options{
-		Cores: 4, Refs: 40_000, Generators: gens, DataBytes: space,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Run()
-	if res.SimulatedTime <= 0 {
-		t.Fatal("custom-generator run produced no time")
-	}
-}
-
-func TestCustomGeneratorsValidated(t *testing.T) {
-	gens, _ := workload.NewSet("canneal", 2, 5, workload.TestScale())
-	cfg := config.Default()
-	if _, err := New(&cfg, Options{Cores: 4, Refs: 1, Generators: gens, DataBytes: 1 << 20}); err == nil {
-		t.Fatal("generator/core mismatch accepted")
-	}
-	gens4, _ := workload.NewSet("canneal", 4, 5, workload.TestScale())
-	if _, err := New(&cfg, Options{Cores: 4, Refs: 1, Generators: gens4}); err == nil {
-		t.Fatal("missing DataBytes accepted")
-	}
-}
-
 // TestNewRejectsMoreCoresThanTiles: every core needs a tile of its own, so
 // a run with more cores than the mesh has core tiles is an error naming
 // both counts, before any workload is built; a run that fills every core
@@ -368,6 +337,30 @@ func TestNewRejectsMoreCoresThanTiles(t *testing.T) {
 	}
 	if _, err := New(&cfg, Options{Benchmark: "canneal", Cores: 28, Refs: 28, Scale: workload.TestScale()}); err != nil {
 		t.Fatalf("28 cores: %v", err)
+	}
+}
+
+// TestNewRejectsBadBudgets: a reference budget that leaves a core none
+// and a negative warm-up are errors naming the field; a budget of exactly
+// one reference per core is accepted.
+func TestNewRejectsBadBudgets(t *testing.T) {
+	cfg := config.Default()
+	for _, tc := range []struct {
+		refs, warm int64
+		want       string
+	}{
+		{-5, 0, "Refs -5 leaves some of 4 cores no references"},
+		{0, 0, "Refs 0 leaves some of 4 cores no references"},
+		{3, 0, "Refs 3 leaves some of 4 cores no references"},
+		{4, -100, "Warmup -100 is negative"},
+	} {
+		_, err := New(&cfg, Options{Benchmark: "canneal", Refs: tc.refs, Warmup: tc.warm, Scale: workload.TestScale()})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Refs %d, Warmup %d: err = %v, want one containing %q", tc.refs, tc.warm, err, tc.want)
+		}
+	}
+	if _, err := New(&cfg, Options{Benchmark: "canneal", Refs: 4, Scale: workload.TestScale()}); err != nil {
+		t.Fatalf("one reference per core: %v", err)
 	}
 }
 

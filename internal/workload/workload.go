@@ -13,7 +13,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -274,17 +273,3 @@ func (r *rng) intn(n int) int {
 
 // float returns a uniform value in [0, 1).
 func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// sortedUnique sorts and dedupes a slice in place, returning the prefix.
-func sortedUnique(xs []uint32) []uint32 {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	out := xs[:0]
-	var last uint32
-	for i, x := range xs {
-		if i == 0 || x != last {
-			out = append(out, x)
-			last = x
-		}
-	}
-	return out
-}

@@ -254,19 +254,6 @@ func TestRNGUniformity(t *testing.T) {
 	}
 }
 
-func TestSortedUnique(t *testing.T) {
-	got := sortedUnique([]uint32{5, 1, 5, 3, 1})
-	want := []uint32{1, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("sortedUnique = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sortedUnique = %v", got)
-		}
-	}
-}
-
 // composition summarises a generated stream: the properties
 // TestComposeSummaries checks without replaying it through a simulator.
 type composition struct {
